@@ -1,17 +1,12 @@
-//! Shared helpers for the experiment binaries and Criterion benches.
+//! Shared helpers for the experiment binaries.
 //!
 //! Every table and figure of the paper has a binary here that regenerates
-//! it (`cargo run --release -p nvr_bench --bin fig5`, etc.) and a Criterion
-//! bench that times the regeneration. The root README.md maps experiment
-//! ids to these targets.
+//! it (`cargo run --release -p nvr_bench --bin fig5`, etc.). Simulator
+//! throughput is measured by the `perf` bin and the repository's
+//! `nvrbench` runner. The root README.md maps experiment ids to these
+//! targets.
 
-#![forbid(unsafe_code)]
-#![deny(missing_docs)]
-
-use nvr_common::DataWidth;
-use nvr_mem::MemoryConfig;
-use nvr_sim::{run_system, RunOutcome, SystemKind};
-use nvr_workloads::{Scale, TileOrder, WorkloadId, WorkloadSpec};
+use nvr_workloads::Scale;
 
 /// Seed used by all experiment binaries, so printed numbers are stable.
 pub const EXPERIMENT_SEED: u64 = 2025;
@@ -55,29 +50,4 @@ pub fn jobs_from_args() -> usize {
         }
     }
     1
-}
-
-/// Runs one (workload, system) pair at bench scale — the unit of work the
-/// Criterion benches time.
-#[must_use]
-pub fn bench_unit(workload: WorkloadId, system: SystemKind) -> RunOutcome {
-    let spec = WorkloadSpec {
-        width: DataWidth::Fp16,
-        seed: EXPERIMENT_SEED,
-        scale: Scale::Tiny,
-        order: TileOrder::Natural,
-    };
-    let program = workload.build(&spec);
-    run_system(&program, &MemoryConfig::default(), system)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn bench_unit_runs() {
-        let o = bench_unit(WorkloadId::St, SystemKind::Nvr);
-        assert!(o.result.total_cycles > 0);
-    }
 }

@@ -24,9 +24,6 @@
 //! assert_eq!(a.line().base().raw(), 0x8000_1040 & !(LINE_BYTES - 1));
 //! ```
 
-#![forbid(unsafe_code)]
-#![deny(missing_docs)]
-
 pub mod addr;
 pub mod error;
 pub mod flatmap;

@@ -97,6 +97,10 @@ impl ReusePredictor {
     /// Records one resolved gather target touching `line`; returns the
     /// line's updated score (its touch count within the current horizon,
     /// saturating).
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "the hash is masked to a slot index; dropping high bits is the intent"
+    )]
     pub fn observe(&mut self, line: LineAddr) -> u32 {
         self.since_decay += 1;
         if self.since_decay >= DECAY_EPOCH {
@@ -127,6 +131,10 @@ impl ReusePredictor {
 
     /// The current score of `line` (0 if never observed this horizon).
     #[must_use]
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "the hash is masked to a slot index; dropping high bits is the intent"
+    )]
     pub fn score(&self, line: LineAddr) -> u32 {
         let mask = self.keys.len() - 1;
         let key = line.index();
@@ -152,6 +160,10 @@ impl ReusePredictor {
     /// (deletion under linear probing would otherwise need backward
     /// shifting); runs once per [`DECAY_EPOCH`] observations, so the
     /// rebuild amortises to a fraction of an observe.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "the hash is masked to a slot index; dropping high bits is the intent"
+    )]
     fn decay(&mut self) {
         let old_keys = std::mem::take(&mut self.keys);
         let old_counts = std::mem::take(&mut self.counts);
@@ -174,6 +186,10 @@ impl ReusePredictor {
     }
 
     /// Doubles the slot count, rehashing every occupied entry.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "the hash is masked to a slot index; dropping high bits is the intent"
+    )]
     fn grow(&mut self) {
         let new_cap = self.keys.len() * 2;
         let old_keys = std::mem::replace(&mut self.keys, vec![EMPTY; new_cap]);

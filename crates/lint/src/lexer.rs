@@ -1,12 +1,11 @@
 //! A small hand-rolled Rust lexer — just enough syntax awareness for the
-//! lint rules: identifiers, punctuation, string/char/number literals and
-//! comments, each tagged with its 1-based source line.
+//! lint rules: identifiers, punctuation and string/char/number literals,
+//! each tagged with its 1-based source line. Comments are skipped.
 //!
 //! The point of lexing (rather than substring search) is that rule
-//! matching runs over *code tokens only*: a `HashMap` inside a doc
+//! matching runs over *code tokens only*: a `Vec::new` inside a doc
 //! comment, a string literal or a `#[doc = "..."]` attribute never
-//! triggers a determinism rule, while the comment stream is what the
-//! suppression parser reads. The lexer understands line and (nested)
+//! triggers a rule. The lexer understands line and (nested)
 //! block comments, regular/raw/byte string literals with escapes and
 //! line continuations, char literals vs lifetimes, and loose numeric
 //! literals. It does not attempt full fidelity (no float-exponent
@@ -43,32 +42,11 @@ pub struct Tok {
     pub line: u32,
 }
 
-/// One comment with its 1-based starting line; suppression comments are
-/// parsed out of this stream.
-#[derive(Debug, Clone)]
-pub struct Comment {
-    /// Comment body, including the `//` / `/*` introducer.
-    pub text: String,
-    /// 1-based line the comment starts on.
-    pub line: u32,
-}
-
-/// The result of lexing one file: code tokens and comments, in order.
+/// The result of lexing one file: code tokens, in order.
 #[derive(Debug, Default)]
 pub struct Lexed {
     /// Code tokens (comments excluded).
     pub toks: Vec<Tok>,
-    /// Comments, for suppression parsing.
-    pub comments: Vec<Comment>,
-}
-
-impl Lexed {
-    /// True if any code token starts on `line` — used to decide whether a
-    /// suppression comment shares its line with code or stands alone.
-    #[must_use]
-    pub fn has_code_on_line(&self, line: u32) -> bool {
-        self.toks.iter().any(|t| t.line == line)
-    }
 }
 
 /// Tokenizes `src`. Never fails: unrecognised bytes become punctuation
@@ -112,8 +90,8 @@ impl Lexer {
                 _ if c.is_whitespace() => {
                     self.bump();
                 }
-                '/' if self.peek(1) == Some('/') => self.line_comment(line),
-                '/' if self.peek(1) == Some('*') => self.block_comment(line),
+                '/' if self.peek(1) == Some('/') => self.line_comment(),
+                '/' if self.peek(1) == Some('*') => self.block_comment(),
                 '"' => {
                     self.bump();
                     self.cooked_string(line);
@@ -135,41 +113,30 @@ impl Lexer {
         self.out.toks.push(Tok { kind, text, line });
     }
 
-    fn line_comment(&mut self, line: u32) {
-        let mut text = String::new();
-        while let Some(c) = self.peek(0) {
-            if c == '\n' {
-                break;
-            }
-            text.push(c);
+    fn line_comment(&mut self) {
+        while self.peek(0).is_some_and(|c| c != '\n') {
             self.bump();
         }
-        self.out.comments.push(Comment { text, line });
     }
 
-    fn block_comment(&mut self, line: u32) {
-        let mut text = String::new();
+    fn block_comment(&mut self) {
         let mut depth = 0usize;
         while let Some(c) = self.peek(0) {
             if c == '/' && self.peek(1) == Some('*') {
                 depth += 1;
-                text.push_str("/*");
                 self.bump();
                 self.bump();
             } else if c == '*' && self.peek(1) == Some('/') {
                 depth -= 1;
-                text.push_str("*/");
                 self.bump();
                 self.bump();
                 if depth == 0 {
                     break;
                 }
             } else {
-                text.push(c);
                 self.bump();
             }
         }
-        self.out.comments.push(Comment { text, line });
     }
 
     /// Handles `r"…"`, `r#"…"#`, `b"…"`, `br#"…"#`, `b'…'` and raw
@@ -216,8 +183,8 @@ impl Lexer {
         }
         // `r#match`: a raw identifier, one code token. The `r#` stays in
         // the text so a raw ident never impersonates the keyword to the
-        // item parser — a naive split would emit a stray `r`, `#`, `match`
-        // triple and fake a match expression.
+        // item parser — a naive split would emit a stray `r`, `#`, `enum`
+        // triple and fake an enum definition.
         if c == Some('r')
             && hashes == 1
             && self
@@ -397,8 +364,6 @@ let real = HashMap::new();
 "##;
         let ids = idents(src);
         assert_eq!(ids.iter().filter(|i| *i == "HashMap").count(), 1);
-        let lexed = lex(src);
-        assert_eq!(lexed.comments.len(), 2);
     }
 
     #[test]
@@ -440,9 +405,8 @@ let real = HashMap::new();
 
     #[test]
     fn raw_identifiers_are_single_tokens() {
-        // A raw ident must neither split into `r # match` (faking a match
-        // expression to the item parser) nor collapse into the bare
-        // keyword.
+        // A raw ident must neither split into `r # match` (faking a
+        // keyword to the item parser) nor collapse into the bare keyword.
         let lexed = lex("let r#match = r#type + other;");
         let ids = idents("let r#match = r#type + other;");
         assert_eq!(ids, ["let", "r#match", "r#type", "other"]);
@@ -468,10 +432,7 @@ let real = HashMap::new();
     fn nested_block_comments_terminate_exactly() {
         // The ident after the comment must survive; the one inside must not.
         let src = "/* outer /* inner /* deep */ still */ done */ after";
-        let lexed = lex(src);
         assert_eq!(idents(src), ["after"]);
-        assert_eq!(lexed.comments.len(), 1);
-        assert!(lexed.comments[0].text.contains("deep"));
     }
 
     #[test]
@@ -501,7 +462,5 @@ let real = HashMap::new();
         let lexed = lex("a\nb\n  c");
         let lines: Vec<u32> = lexed.toks.iter().map(|t| t.line).collect();
         assert_eq!(lines, [1, 2, 3]);
-        assert!(lexed.has_code_on_line(2));
-        assert!(!lexed.has_code_on_line(4));
     }
 }

@@ -3,10 +3,7 @@
 //! Pass 1 builds one [`FileModel`] per source file (item-level facts the
 //! [`crate::parser`] extracts from the token stream); the engine stitches
 //! them into a [`WorkspaceModel`] and the cross-file rules in
-//! [`crate::semantic`] query the whole thing at once. Every structure
-//! here is deliberately flat and string-keyed so it serialises into the
-//! fingerprint cache (`target/nvr-lint-cache.json`) without a schema
-//! crate.
+//! [`crate::semantic`] query the whole thing at once.
 
 use std::collections::BTreeSet;
 
@@ -30,20 +27,6 @@ pub struct StructDef {
     pub line: u32,
     /// Public field names with the line each is declared on.
     pub fields: Vec<(String, u32)>,
-}
-
-/// One `match` expression, reduced to what the registry rules need.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct MatchExpr {
-    /// 1-based line of the `match` keyword.
-    pub line: u32,
-    /// Roots of `Root::Variant` paths appearing in the arm *patterns*
-    /// (guards excluded) — the enums this match dispatches over.
-    pub pattern_roots: BTreeSet<String>,
-    /// Line of a catch-all `_` arm, when the match has one.
-    pub wildcard_line: Option<u32>,
-    /// Number of arms.
-    pub arms: u32,
 }
 
 /// One `Root::Name` path reference (use sites, arm patterns, const
@@ -94,8 +77,6 @@ pub struct FileModel {
     pub enums: Vec<EnumDef>,
     /// Braced struct definitions with `pub` fields.
     pub structs: Vec<StructDef>,
-    /// `match` expressions.
-    pub matches: Vec<MatchExpr>,
     /// `Root::Name` path references.
     pub paths: Vec<PathRef>,
     /// Const array registry tables.
@@ -187,7 +168,6 @@ impl WorkspaceModel {
             s.variants += f.enums.iter().map(|e| e.variants.len()).sum::<usize>();
             s.structs += f.structs.len();
             s.fields += f.structs.iter().map(|d| d.fields.len()).sum::<usize>();
-            s.matches += f.matches.len();
             s.csv_headers += f.csv_headers.len();
         }
         s
@@ -208,8 +188,6 @@ pub struct ModelStats {
     pub structs: usize,
     /// Public struct fields indexed.
     pub fields: usize,
-    /// `match` expressions indexed.
-    pub matches: usize,
     /// CSV header literals indexed.
     pub csv_headers: usize,
 }

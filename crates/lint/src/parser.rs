@@ -3,18 +3,16 @@
 //!
 //! This is deliberately not a Rust parser. It recognises exactly the
 //! item shapes the semantic rules query — `enum` definitions, braced
-//! `struct` definitions with `pub` fields, `match` expressions with
-//! their arm patterns, `const … = [ … ];` registry tables, and
-//! `Root::Name` path references — by bracket-depth counting, and skips
+//! `struct` definitions with `pub` fields, `const … = [ … ];` registry
+//! tables, and `Root::Name` path references — by bracket-depth counting,
+//! and skips
 //! everything else. The workspace is rustfmt-clean 2021-edition code;
 //! the fixtures in `tests/` pin every shape the rules depend on, and the
 //! lexer guarantees comments/strings/raw identifiers can never fake a
 //! keyword to this pass.
 
-use std::collections::BTreeSet;
-
 use crate::lexer::{Lexed, Tok, TokKind};
-use crate::model::{ConstArray, EnumDef, FileModel, MatchExpr, PathRef, StructDef, UnitOpSite};
+use crate::model::{ConstArray, EnumDef, FileModel, PathRef, StructDef, UnitOpSite};
 
 /// The unit vocabulary of the `units/suffix-mix` rule.
 const UNIT_SUFFIXES: [&str; 4] = ["_cycles", "_ns", "_bytes", "_lines"];
@@ -91,8 +89,7 @@ pub fn parse_file(rel: &str, lexed: &Lexed) -> FileModel {
             }
         }
 
-        // Item keywords. The scan resumes at i + 1 in every case, so a
-        // `match` nested inside an arm body is found on its own.
+        // Item keywords. The scan resumes at i + 1 in every case.
         match tok.text.as_str() {
             "enum" => {
                 if let Some(def) = parse_enum(toks, i) {
@@ -107,11 +104,6 @@ pub fn parse_file(rel: &str, lexed: &Lexed) -> FileModel {
             "const" => {
                 if let Some(def) = parse_const_array(toks, i) {
                     model.const_arrays.push(def);
-                }
-            }
-            "match" => {
-                if let Some(m) = parse_match(toks, i) {
-                    model.matches.push(m);
                 }
             }
             _ => {}
@@ -366,163 +358,6 @@ fn parse_const_array(toks: &[Tok], kw: usize) -> Option<ConstArray> {
     Some(def)
 }
 
-/// `match scrutinee { pat [if guard] => body, … }` starting at the
-/// `match` keyword. Records arm-pattern path roots (guards excluded) and
-/// whether a bare `_` catch-all arm exists.
-fn parse_match(toks: &[Tok], kw: usize) -> Option<MatchExpr> {
-    // Body brace: first `{` at paren/bracket depth 0 after the
-    // scrutinee (struct literals are not legal in scrutinee position
-    // without parens, so this is exact).
-    let mut j = kw + 1;
-    let mut depth = 0i64;
-    loop {
-        let tok = toks.get(j)?;
-        match punct_of(tok) {
-            Some('(') | Some('[') => depth += 1,
-            Some(')') | Some(']') => depth -= 1,
-            Some('{') if depth == 0 => break,
-            Some(';') if depth == 0 => return None,
-            Some('}') if depth == 0 => return None,
-            _ => {}
-        }
-        j += 1;
-    }
-    let mut m = MatchExpr {
-        line: toks[kw].line,
-        pattern_roots: BTreeSet::new(),
-        wildcard_line: None,
-        arms: 0,
-    };
-    j += 1; // into the body
-    'arms: loop {
-        // Skip arm attributes (`#[cfg(...)] Pat => ...`).
-        while is_punct(toks.get(j), '#') && is_punct(toks.get(j + 1), '[') {
-            let mut attr_depth = 0i64;
-            j += 1;
-            while let Some(t) = toks.get(j) {
-                match punct_of(t) {
-                    Some('[') => attr_depth += 1,
-                    Some(']') => {
-                        attr_depth -= 1;
-                        if attr_depth == 0 {
-                            break;
-                        }
-                    }
-                    _ => {}
-                }
-                j += 1;
-            }
-            j += 1;
-        }
-        match toks.get(j) {
-            None => break,
-            Some(t) if punct_of(t) == Some('}') => break, // body close
-            _ => {}
-        }
-        // Pattern: tokens up to a top-level `if` (guard) or `=>`.
-        let pat_start = j;
-        let mut depth = 0i64;
-        loop {
-            let Some(tok) = toks.get(j) else { break 'arms };
-            match punct_of(tok) {
-                Some('(') | Some('[') | Some('{') => depth += 1,
-                Some(')') | Some(']') => depth -= 1,
-                Some('}') => {
-                    depth -= 1;
-                    if depth < 0 {
-                        break 'arms; // malformed: ran into the body close
-                    }
-                }
-                Some('=') if depth == 0 && is_punct(toks.get(j + 1), '>') => break,
-                None if tok.kind == TokKind::Ident && tok.text == "if" && depth == 0 => break,
-                _ => {}
-            }
-            j += 1;
-        }
-        let pat_end = j;
-        let guarded = toks.get(j).is_some_and(|t| t.text == "if");
-        if guarded {
-            // Swallow the guard expression up to its `=>`.
-            let mut depth = 0i64;
-            loop {
-                let Some(tok) = toks.get(j) else { break 'arms };
-                match punct_of(tok) {
-                    Some('(') | Some('[') | Some('{') => depth += 1,
-                    Some(')') | Some(']') | Some('}') => depth -= 1,
-                    Some('=') if depth == 0 && is_punct(toks.get(j + 1), '>') => break,
-                    _ => {}
-                }
-                j += 1;
-            }
-        }
-        // Trailing `|` alternation leaves pat_end right; a leading `|`
-        // (or-pattern sugar) is harmless to the checks below.
-        if pat_end == pat_start {
-            break; // empty pattern: malformed
-        }
-        m.arms += 1;
-        let pattern = &toks[pat_start..pat_end];
-        if !guarded && pattern.len() == 1 && pattern[0].text == "_" {
-            m.wildcard_line.get_or_insert(pattern[0].line);
-        }
-        for (p, tok) in pattern.iter().enumerate() {
-            if tok.kind == TokKind::Ident
-                && starts_upper(&tok.text)
-                && is_punct(pattern.get(p + 1), ':')
-                && is_punct(pattern.get(p + 2), ':')
-            {
-                m.pattern_roots.insert(tok.text.clone());
-            }
-        }
-        // Past the `=>`.
-        j += 2;
-        // Arm body: braced bodies end at their matching `}`; braceless
-        // bodies end at a top-level `,` or at the match's closing `}`.
-        if is_punct(toks.get(j), '{') {
-            let mut depth = 0i64;
-            while let Some(tok) = toks.get(j) {
-                match punct_of(tok) {
-                    Some('{') | Some('(') | Some('[') => depth += 1,
-                    Some('}') | Some(')') | Some(']') => {
-                        depth -= 1;
-                        if depth == 0 {
-                            break;
-                        }
-                    }
-                    _ => {}
-                }
-                j += 1;
-            }
-            j += 1;
-            if is_punct(toks.get(j), ',') {
-                j += 1;
-            }
-        } else {
-            let mut depth = 0i64;
-            loop {
-                let Some(tok) = toks.get(j) else { break 'arms };
-                match punct_of(tok) {
-                    Some('(') | Some('[') | Some('{') => depth += 1,
-                    Some(')') | Some(']') => depth -= 1,
-                    Some('}') => {
-                        if depth == 0 {
-                            break; // match body close; outer loop sees it
-                        }
-                        depth -= 1;
-                    }
-                    Some(',') if depth == 0 => {
-                        j += 1;
-                        break;
-                    }
-                    _ => {}
-                }
-                j += 1;
-            }
-        }
-    }
-    Some(m)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -583,60 +418,6 @@ mod tests {
             .map(|p| p.name.as_str())
             .collect();
         assert_eq!(items, ["A", "B"]);
-    }
-
-    #[test]
-    fn match_wildcard_and_roots() {
-        let m = parse(
-            "fn f(k: Kind) -> u32 {\n  match k {\n    Kind::A => 1,\n    \
-             Kind::B if cond() => { nested(); 2 }\n    _ => 0,\n  }\n}\n",
-        );
-        assert_eq!(m.matches.len(), 1);
-        let mx = &m.matches[0];
-        assert_eq!(mx.arms, 3);
-        assert!(mx.pattern_roots.contains("Kind"));
-        assert_eq!(mx.wildcard_line, Some(5));
-    }
-
-    #[test]
-    fn guard_paths_are_not_pattern_roots() {
-        let m = parse(
-            "fn f(k: Kind) -> u32 {\n  match k {\n    x if x == Other::Y => 1,\n    _ => 0,\n  }\n}\n",
-        );
-        let mx = &m.matches[0];
-        assert!(mx.pattern_roots.is_empty());
-        assert_eq!(mx.arms, 2);
-        assert!(mx.wildcard_line.is_some());
-    }
-
-    #[test]
-    fn guarded_underscore_is_not_a_catch_all() {
-        let m = parse("fn f(k: u32) -> u32 { match k { _ if k > 3 => 1, _ => 0 } }\n");
-        let mx = &m.matches[0];
-        assert_eq!(mx.arms, 2);
-        // The *unguarded* `_` is the recorded catch-all.
-        assert_eq!(mx.wildcard_line, Some(1));
-    }
-
-    #[test]
-    fn nested_matches_are_both_found() {
-        let m = parse(
-            "fn f(a: Kind, b: Kind) -> u32 {\n  match a {\n    Kind::A => match b {\n      \
-             Kind::B => 1,\n      _ => 2,\n    },\n    _ => 0,\n  }\n}\n",
-        );
-        assert_eq!(m.matches.len(), 2);
-        assert!(m.matches.iter().all(|mx| mx.wildcard_line.is_some()));
-    }
-
-    #[test]
-    fn struct_literal_in_braceless_arm_body() {
-        let m = parse(
-            "fn f(k: Kind) -> Cfg {\n  match k {\n    Kind::A => Cfg { a: 1, b: 2 },\n    \
-             Kind::B => other(),\n  }\n}\n",
-        );
-        let mx = &m.matches[0];
-        assert_eq!(mx.arms, 2);
-        assert_eq!(mx.wildcard_line, None);
     }
 
     #[test]

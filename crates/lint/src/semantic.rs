@@ -1,11 +1,8 @@
 //! Pass 2: the cross-file semantic rules over the [`WorkspaceModel`].
 //!
 //! Everything here is a pure query against the model built by pass 1 —
-//! no file IO, no lexing. The engine resolves `allow(...)` suppressions
-//! *after* this pass, so a semantic finding in a `.rs` file is
-//! suppressible exactly like a token-rule finding. Findings in the two
-//! documentation files (`README.md`, `docs/ARCHITECTURE.md`) cannot
-//! carry allows; the fix is always to update the doc.
+//! no file IO, no lexing. There is no suppression syntax: the fix for a
+//! finding is always to change the code or the doc it points at.
 
 use crate::diag::{Diagnostic, Rule};
 use crate::model::WorkspaceModel;
@@ -23,15 +20,6 @@ const REGISTRY_ENUMS: [(&str, bool); 3] = [
     ("FigureId", false),
 ];
 
-/// Crates whose numeric outputs land in figures/CSVs — the scope of the
-/// wildcard-arm rule (mirrors the token rules' RESULT_CRATES).
-const RESULT_CRATES: [&str; 4] = [
-    "crates/core/",
-    "crates/mem/",
-    "crates/sim/",
-    "crates/workloads/",
-];
-
 /// Config structs whose pub fields the dead-knob rule audits.
 const CONFIG_STRUCTS: [&str; 5] = [
     "NvrConfig",
@@ -47,7 +35,6 @@ const CONFIG_STRUCTS: [&str; 5] = [
 pub fn run(model: &WorkspaceModel, docs: &[(String, String)]) -> Vec<Diagnostic> {
     let mut diags = Vec::new();
     check_variant_drift(model, &mut diags);
-    check_wildcard_arms(model, &mut diags);
     check_dead_knobs(model, &mut diags);
     check_csv_docs(model, docs, &mut diags);
     check_suffix_mix(model, &mut diags);
@@ -102,43 +89,6 @@ fn check_variant_drift(model: &WorkspaceModel, diags: &mut Vec<Diagnostic>) {
                     });
                 }
             }
-        }
-    }
-}
-
-/// `registry/wildcard-arm`: a `match` over a registry enum inside a
-/// result-producing crate must enumerate every variant — a `_` arm turns
-/// the next variant addition into silent behaviour instead of a compile
-/// error.
-fn check_wildcard_arms(model: &WorkspaceModel, diags: &mut Vec<Diagnostic>) {
-    for file in &model.files {
-        if !RESULT_CRATES.iter().any(|c| file.path.starts_with(c)) {
-            continue;
-        }
-        for m in &file.matches {
-            let Some(wildcard_line) = m.wildcard_line else {
-                continue;
-            };
-            if file.in_test_code(m.line) {
-                continue;
-            }
-            let Some((enum_name, _)) = REGISTRY_ENUMS
-                .iter()
-                .find(|(name, _)| m.pattern_roots.contains(*name))
-            else {
-                continue;
-            };
-            diags.push(Diagnostic {
-                rule: Rule::WildcardArm,
-                file: file.path.clone(),
-                line: wildcard_line,
-                message: format!(
-                    "`_` arm in a match over `{enum_name}` (match on line {}): \
-                     enumerate the variants so a new one fails to compile instead \
-                     of inheriting this arm",
-                    m.line
-                ),
-            });
         }
     }
 }
@@ -337,26 +287,6 @@ mod tests {
         let src = "pub enum FigureId { F1 }\nimpl FigureId {\n  \
                    pub const ALL: [FigureId; 1] = [FigureId::F1];\n}\n";
         let m = model(&[("crates/sim/src/figures.rs", src)]);
-        assert!(run(&m, &[]).is_empty());
-    }
-
-    #[test]
-    fn wildcard_arm_fires_only_in_result_crates() {
-        let src = "fn f(k: SystemKind) -> u32 { match k { SystemKind::A => 1, _ => 0 } }\n";
-        let m = model(&[("crates/sim/src/x.rs", src)]);
-        let diags = run(&m, &[]);
-        assert!(
-            diags.iter().any(|d| d.rule == Rule::WildcardArm),
-            "{diags:?}"
-        );
-        let m = model(&[("crates/lint/src/x.rs", src)]);
-        assert!(run(&m, &[]).iter().all(|d| d.rule != Rule::WildcardArm));
-    }
-
-    #[test]
-    fn wildcard_over_plain_enum_is_fine() {
-        let src = "fn f(k: Other) -> u32 { match k { Other::A => 1, _ => 0 } }\n";
-        let m = model(&[("crates/sim/src/x.rs", src)]);
         assert!(run(&m, &[]).is_empty());
     }
 

@@ -1,6 +1,6 @@
 // Fixture: the allocation patterns the hot-loop rule must NOT flag —
 // hoisted buffers, allocation outside loops, loops outside hot
-// functions, audited allows, and test code.
+// functions, and test code.
 
 pub fn advance(&mut self, now: u64) {
     // Hoisted before the loop: allocate once, reuse per iteration.
@@ -11,11 +11,11 @@ pub fn advance(&mut self, now: u64) {
         self.observe(&scratch);
     }
     while self.clock < now {
-        // nvr-lint: allow(perf/hot-loop-alloc) reason="cold error path, never taken in steady state"
-        let report = format!("stall at {}", self.clock);
-        self.maybe_log(report);
         self.clock += 1;
     }
+    // Allocated once after the loop, not per iteration.
+    let report = format!("stall at {}", self.clock);
+    self.maybe_log(report);
 }
 
 pub fn summarise(&self) -> Vec<String> {

@@ -1,5 +1,9 @@
 //! Non-blocking set-associative cache with timestamp-forwarded fills.
 
+// A panic in tick code kills a whole parallel sweep: every remaining
+// unwrap/expect carries an `#[expect]` stating its invariant.
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 use nvr_common::{Cycle, LineAddr};
 
 use crate::config::{CacheConfig, RetentionPolicy};
@@ -152,8 +156,15 @@ impl Cache {
     /// Panics if the configuration fails [`CacheConfig::validate`]; callers
     /// configuring from user input should validate first.
     #[must_use]
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "the slot and way counts size in-memory arrays, so they fit usize"
+    )]
     pub fn new(cfg: CacheConfig) -> Self {
-        // nvr-lint: allow(panic/hot-loop) reason="init-time config validation in the constructor, outside the tick loop"
+        #[expect(
+            clippy::expect_used,
+            reason = "init-time config validation in the constructor, outside the tick loop"
+        )]
         cfg.validate().expect("cache config must be valid");
         let sets = cfg.sets();
         let slots = (sets * cfg.ways) as usize;
@@ -255,6 +266,10 @@ impl Cache {
     }
 
     #[inline]
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "the set index is below n_sets, which sizes an in-memory array"
+    )]
     fn set_index(&self, line: LineAddr) -> usize {
         if self.set_mask != u64::MAX {
             (line.index() & self.set_mask) as usize
@@ -566,7 +581,10 @@ impl Cache {
             }
         }
         // Every way is mid-fill (pathological): fall back to plain LRU.
-        // nvr-lint: allow(panic/hot-loop) reason="CacheConfig::validate rejects ways == 0, so the scan above always selects a way"
+        #[expect(
+            clippy::expect_used,
+            reason = "CacheConfig::validate rejects ways == 0, so the scan above always selects a way"
+        )]
         filled_lru.or(any_lru).expect("ways is non-empty")
     }
 
@@ -700,6 +718,10 @@ impl Cache {
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::wildcard_enum_match_arm,
+    reason = "each test asserts one variant and panics on every other"
+)]
 mod tests {
     use super::*;
     use crate::config::KIB;

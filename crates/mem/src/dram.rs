@@ -43,6 +43,10 @@
 //! assert_eq!(a, b);
 //! ```
 
+// A panic in tick code kills a whole parallel sweep: every remaining
+// unwrap/expect carries an `#[expect]` stating its invariant.
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 use std::collections::VecDeque;
 
 use nvr_common::{Cycle, LineAddr, LINE_BYTES};
@@ -91,7 +95,10 @@ impl DramBackend {
     /// Panics if the configuration fails [`DramConfig::validate`].
     #[must_use]
     pub fn new(cfg: DramConfig) -> Self {
-        // nvr-lint: allow(panic/hot-loop) reason="init-time config validation in the constructor, outside the tick loop"
+        #[expect(
+            clippy::expect_used,
+            reason = "init-time config validation in the constructor, outside the tick loop"
+        )]
         cfg.validate().expect("dram config must be valid");
         let stats = DramStats {
             channels: vec![Default::default(); cfg.channels],
@@ -118,6 +125,10 @@ impl DramBackend {
 
     /// The channel `line` interleaves onto.
     #[must_use]
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "the remainder is below cfg.channels, which is a usize"
+    )]
     pub fn channel_of(&self, line: LineAddr) -> usize {
         (line.index() % self.cfg.channels as u64) as usize
     }
@@ -318,6 +329,10 @@ impl DramBackend {
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::match_wildcard_for_single_variants,
+    reason = "each test asserts one variant and panics on every other"
+)]
 mod tests {
     use super::*;
 

@@ -1,5 +1,9 @@
 //! The composed memory system: optional NSB → shared L2 → DRAM.
 
+// A panic in tick code kills a whole parallel sweep: every remaining
+// unwrap/expect carries an `#[expect]` stating its invariant.
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 use nvr_common::{Cycle, LineAddr, Region};
 
 use crate::cache::{Cache, ProbeResult};
@@ -82,7 +86,10 @@ impl MemorySystem {
     /// Panics if `cfg` fails [`MemoryConfig::validate`].
     #[must_use]
     pub fn new(cfg: MemoryConfig) -> Self {
-        // nvr-lint: allow(panic/hot-loop) reason="init-time config validation in the constructor, outside the tick loop"
+        #[expect(
+            clippy::expect_used,
+            reason = "init-time config validation in the constructor, outside the tick loop"
+        )]
         cfg.validate().expect("memory config must be valid");
         MemorySystem {
             nsb: cfg.nsb.clone().map(Cache::new),
@@ -178,13 +185,19 @@ impl MemorySystem {
                 }
                 ProbeResult::Miss => {
                     // NSB lookup cost precedes the L2 access.
-                    // nvr-lint: allow(panic/hot-loop) reason="this arm only runs when the hierarchy was built with an NSB, so the config is present"
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "this arm only runs when the hierarchy was built with an NSB, so the config is present"
+                    )]
                     let t_l2 = now + self.cfg.nsb.as_ref().expect("nsb cfg").hit_latency;
                     let (result, fill_done) =
                         Self::l2_demand(&mut self.l2, &mut self.dram, line, t_l2);
                     // Fill the NSB alongside so subsequent touches hit near
                     // the NPU (demand fills allocate in both levels).
-                    // nvr-lint: allow(panic/hot-loop) reason="same NSB-present invariant as the probe that produced this ProbeResult::Miss"
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "same NSB-present invariant as the probe that produced this ProbeResult::Miss"
+                    )]
                     let nsb = self.nsb.as_mut().expect("nsb present");
                     if nsb.mshr_available(now) {
                         nsb.install(line, fill_done, false, now);
@@ -500,6 +513,10 @@ impl MemorySystem {
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::wildcard_enum_match_arm,
+    reason = "each test asserts one variant and panics on every other"
+)]
 mod tests {
     use super::*;
     use crate::config::{CacheConfig, DramConfig};

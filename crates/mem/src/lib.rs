@@ -29,8 +29,14 @@
 //! assert!(hit.ready_at < miss.ready_at + 30);
 //! ```
 
-#![forbid(unsafe_code)]
-#![deny(missing_docs)]
+// Cycle counts and addresses are u64; a silently truncating `as` cast
+// corrupts speedups once a sweep runs long enough. A new match arm over
+// an enum must be placed deliberately, never inherited by a `_` arm.
+#![deny(clippy::cast_possible_truncation, clippy::cast_possible_wrap)]
+#![deny(
+    clippy::wildcard_enum_match_arm,
+    clippy::match_wildcard_for_single_variants
+)]
 
 pub mod cache;
 pub mod config;

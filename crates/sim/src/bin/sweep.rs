@@ -214,10 +214,16 @@ fn run_figures(args: &Args) -> Result<(), String> {
     let scale = args.scales.first().copied().unwrap_or_default();
     let seed = args.seeds.first().copied().unwrap_or(DEFAULT_SEED);
     let mut timing_csv = String::from("figure,wall_ms\n");
-    // nvr-lint: allow(determinism/wall-clock) reason="end-to-end timing goes to stderr and --timings CSV only; stdout stays byte-identical"
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "end-to-end timing goes to stderr and --timings CSV only; stdout stays byte-identical"
+    )]
     let t0 = Instant::now();
     for fig in &figures {
-        // nvr-lint: allow(determinism/wall-clock) reason="per-figure timing goes to stderr and --timings CSV only; stdout stays byte-identical"
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "per-figure timing goes to stderr and --timings CSV only; stdout stays byte-identical"
+        )]
         let fig_t0 = Instant::now();
         let rendition = fig.regenerate(scale, seed, args.jobs);
         let wall = fig_t0.elapsed();

@@ -2,7 +2,7 @@
 //!
 //! Every driver exposes `run(...) -> Data` returning structured results and
 //! a `Display` implementation printing the paper-style rendition; the
-//! `nvr-bench` binaries and Criterion benches are thin wrappers over these.
+//! `nvr-bench` binaries are thin wrappers over these.
 
 pub mod fig1b;
 pub mod fig5;

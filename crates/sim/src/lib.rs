@@ -4,7 +4,7 @@
 //! NVR into comparable runs, and regenerates every table and figure of the
 //! paper's evaluation (§V). Each `figures::fig*` module returns structured
 //! data *and* prints a paper-style text rendition, so the same code backs
-//! the Criterion benches, the CLI binaries and the integration tests.
+//! the CLI binaries and the integration tests.
 //!
 //! # Examples
 //!
@@ -20,8 +20,12 @@
 //! assert!(nvr.result.total_cycles <= base.result.total_cycles);
 //! ```
 
-#![forbid(unsafe_code)]
-#![deny(missing_docs)]
+// A new variant must be placed deliberately in every match over it,
+// never inherited by a `_` arm.
+#![deny(
+    clippy::wildcard_enum_match_arm,
+    clippy::match_wildcard_for_single_variants
+)]
 
 pub mod figures;
 pub mod metrics;

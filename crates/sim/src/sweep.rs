@@ -475,7 +475,10 @@ impl fmt::Display for SweepResults {
 /// full seven-system grid it removes six of every seven builds.
 #[must_use]
 pub fn run_sweep(spec: &SweepSpec, jobs: usize) -> SweepResults {
-    // nvr-lint: allow(determinism/wall-clock) reason="sweep-level wall clock feeds only timing_csv, never a simulation result"
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "sweep-level wall clock feeds only timing_csv, never a simulation result"
+    )]
     let t0 = Instant::now();
     let grid = spec.jobs();
     // Map every job to its unique program point, in first-encounter order.
@@ -509,7 +512,10 @@ pub fn run_sweep(spec: &SweepSpec, jobs: usize) -> SweepResults {
         .map(|(job, idx)| {
             let program = Arc::clone(&programs[idx]);
             move || {
-                // nvr-lint: allow(determinism/wall-clock) reason="per-cell wall clock lands in SweepCell::wall, excluded from deterministic CSVs"
+                #[expect(
+                    clippy::disallowed_methods,
+                    reason = "per-cell wall clock lands in SweepCell::wall, excluded from deterministic CSVs"
+                )]
                 let cell_t0 = Instant::now();
                 let outcome = job.run_with_program(&program);
                 SweepCell {

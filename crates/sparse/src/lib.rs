@@ -18,9 +18,6 @@
 //! assert!((m.density() - 0.1).abs() < 0.05);
 //! ```
 
-#![forbid(unsafe_code)]
-#![deny(missing_docs)]
-
 pub mod bitmap;
 pub mod coo;
 pub mod csc;

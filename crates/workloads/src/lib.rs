@@ -29,8 +29,12 @@
 //! assert!(program.stats().gather_elems > 0);
 //! ```
 
-#![forbid(unsafe_code)]
-#![deny(missing_docs)]
+// A new variant must be placed deliberately in every match over it,
+// never inherited by a `_` arm.
+#![deny(
+    clippy::wildcard_enum_match_arm,
+    clippy::match_wildcard_for_single_variants
+)]
 
 pub mod double_sparsity;
 pub mod gat;

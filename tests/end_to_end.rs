@@ -65,6 +65,25 @@ fn nvr_dominates_inorder_everywhere() {
     }
 }
 
+/// Overlapping tiles out of order never loses to the in-order core: the
+/// OoO window only adds overlap, never serialisation.
+#[test]
+fn out_of_order_never_loses_to_inorder() {
+    let mem_cfg = MemoryConfig::default();
+    for workload in WorkloadId::ALL {
+        let program = workload.build(&WorkloadSpec::tiny(DataWidth::Int8, 1));
+        let ino = run_system(&program, &mem_cfg, SystemKind::InOrder);
+        let ooo = run_system(&program, &mem_cfg, SystemKind::OutOfOrder);
+        assert!(
+            ooo.result.total_cycles <= ino.result.total_cycles,
+            "{}: OoO {} vs InO {}",
+            workload.short(),
+            ooo.result.total_cycles,
+            ino.result.total_cycles
+        );
+    }
+}
+
 /// The paper's ordering on the scattered-gather workloads: runahead beats
 /// pattern-based prefetching, which beats nothing.
 #[test]
