@@ -17,14 +17,14 @@
 //! `--check PATH` compares the fresh run against a committed snapshot and
 //! fails (exit 1) on a >`--tolerance` (default 0.20) sim-cycles/sec
 //! regression, or on *any* simulated-cycle-total mismatch — a bit-exactness
-//! violation, reported regardless of speed. ARCHITECTURE.md "Simulator
+//! violation, reported regardless of speed. A tolerance outside `[0, 1)`
+//! is a usage error (exit 2). ARCHITECTURE.md "Simulator
 //! performance" documents the snapshot schema and update procedure.
 
 use std::process::ExitCode;
 
-use nvr_bench::EXPERIMENT_SEED;
 use nvr_common::DataWidth;
-use nvr_sim::sweep::{run_sweep, SweepSpec};
+use nvr_sim::sweep::{run_sweep, SweepSpec, DEFAULT_SEED};
 use nvr_sim::SystemKind;
 use nvr_workloads::{Scale, TileOrder, WorkloadId};
 
@@ -42,7 +42,7 @@ OPTIONS:
                  regression beyond the tolerance or on any simulated-
                  cycle-total mismatch
   --tolerance F  allowed fractional sim-cycles/sec regression for
-                 --check (default: 0.20)
+                 --check, in [0, 1) (default: 0.20; exit 2 outside)
   --help         this text";
 
 /// Identifier of the pinned grid, embedded in every snapshot so a check
@@ -98,7 +98,7 @@ fn pinned_spec() -> SweepSpec {
         scales: vec![Scale::Tiny],
         orders: vec![TileOrder::Natural],
         widths: vec![DataWidth::Fp16],
-        seeds: vec![EXPERIMENT_SEED],
+        seeds: vec![DEFAULT_SEED],
         ..SweepSpec::default()
     }
 }
@@ -202,39 +202,55 @@ fn measure(repeats: usize) -> Snapshot {
     }
 }
 
+/// Why [`check`] did not pass.
+enum CheckError {
+    /// The tolerance cannot form a gate (exit 2).
+    Usage(String),
+    /// The fresh run fails the gate, or the baseline is unusable (exit 1).
+    Failed(String),
+}
+
 /// Compares the fresh snapshot against a committed baseline file.
-/// Returns an error description when the gate fails.
-fn check(fresh: &Snapshot, baseline_src: &str, tolerance: f64) -> Result<String, String> {
+/// `tolerance` must lie in `[0, 1)`: NaN or a value of 1 or more would
+/// turn the throughput gate off.
+fn check(fresh: &Snapshot, baseline_src: &str, tolerance: f64) -> Result<String, CheckError> {
+    use CheckError::Failed;
+    if !(0.0..1.0).contains(&tolerance) {
+        return Err(CheckError::Usage(format!(
+            "--tolerance must be finite and in [0, 1), got {tolerance}"
+        )));
+    }
     if json_str(baseline_src, "schema") != Some("nvr-perf-v1") {
-        return Err("baseline is not an nvr-perf-v1 snapshot".into());
+        return Err(Failed("baseline is not an nvr-perf-v1 snapshot".into()));
     }
     if json_str(baseline_src, "grid") != Some(GRID) {
-        return Err(format!(
+        return Err(Failed(format!(
             "baseline grid {:?} does not match this binary's pinned grid {GRID:?}",
             json_str(baseline_src, "grid").unwrap_or("<missing>")
-        ));
+        )));
     }
     let base_total = json_num(baseline_src, "sim_cycles_total")
-        .ok_or("baseline missing sim_cycles_total")? as u64;
+        .ok_or_else(|| Failed("baseline missing sim_cycles_total".into()))?
+        as u64;
     if base_total != fresh.sim_cycles_total {
-        return Err(format!(
+        return Err(Failed(format!(
             "simulated-cycle total changed: baseline {}, fresh {} — \
              simulation outputs are no longer bit-exact",
             base_total, fresh.sim_cycles_total
-        ));
+        )));
     }
     let base_rate = json_num(baseline_src, "sim_cycles_per_sec")
-        .ok_or("baseline missing sim_cycles_per_sec")?;
+        .ok_or_else(|| Failed("baseline missing sim_cycles_per_sec".into()))?;
     let floor = base_rate * (1.0 - tolerance);
     if fresh.sim_cycles_per_sec < floor {
-        return Err(format!(
+        return Err(Failed(format!(
             "sim-cycles/sec regressed beyond {:.0}% tolerance: baseline {:.1}, \
              floor {:.1}, fresh {:.1}",
             tolerance * 100.0,
             base_rate,
             floor,
             fresh.sim_cycles_per_sec
-        ));
+        )));
     }
     Ok(format!(
         "perf gate passed: fresh {:.1} sim-cycles/sec vs baseline {:.1} \
@@ -284,11 +300,64 @@ fn main() -> ExitCode {
         };
         match check(&fresh, &baseline, args.tolerance) {
             Ok(msg) => println!("{msg}"),
-            Err(msg) => {
+            Err(CheckError::Usage(msg)) => {
+                eprintln!("error: {msg}");
+                return ExitCode::from(2);
+            }
+            Err(CheckError::Failed(msg)) => {
                 eprintln!("perf gate FAILED: {msg}");
                 return ExitCode::FAILURE;
             }
         }
     }
     ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn snapshot(sim_cycles_total: u64, sim_cycles_per_sec: f64) -> Snapshot {
+        Snapshot {
+            cells: 56,
+            sim_cycles_total,
+            best_wall_us: 1,
+            cells_per_sec: 1.0,
+            sim_cycles_per_sec,
+        }
+    }
+
+    #[test]
+    fn out_of_range_tolerance_is_a_usage_error() {
+        let fresh = snapshot(100, 1.0e7);
+        let baseline = fresh.to_json(1);
+        for tolerance in [f64::NAN, 1.5, -0.1, 1.0, f64::INFINITY] {
+            assert!(
+                matches!(
+                    check(&fresh, &baseline, tolerance),
+                    Err(CheckError::Usage(_))
+                ),
+                "tolerance {tolerance} must be rejected"
+            );
+        }
+    }
+
+    #[test]
+    fn tolerance_bounds_the_throughput_floor() {
+        let baseline = snapshot(100, 1.0e7).to_json(1);
+        assert!(check(&snapshot(100, 0.85e7), &baseline, 0.2).is_ok());
+        assert!(matches!(
+            check(&snapshot(100, 0.75e7), &baseline, 0.2),
+            Err(CheckError::Failed(msg)) if msg.contains("regressed")
+        ));
+    }
+
+    #[test]
+    fn cycle_total_mismatch_is_reported_before_throughput() {
+        let baseline = snapshot(100, 1.0e12).to_json(1);
+        assert!(matches!(
+            check(&snapshot(101, 1.0e7), &baseline, 0.2),
+            Err(CheckError::Failed(msg)) if msg.contains("simulated-cycle total changed")
+        ));
+    }
 }

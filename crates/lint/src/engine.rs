@@ -83,6 +83,16 @@ pub fn lint_workspace_with(root: &Path, opts: &LintOptions) -> Result<Report, St
         report.files_checked += 1;
     }
 
+    for dir in fs::read_dir(root.join("crates"))
+        .into_iter()
+        .flatten()
+        .flatten()
+    {
+        if let Ok(manifest) = fs::read_to_string(dir.path().join("Cargo.toml")) {
+            model.packages.extend(package_name(&manifest));
+        }
+    }
+
     // Pass 2: the cross-file rules over the stitched model + docs.
     report.model_stats = model.stats();
     let docs: Vec<(String, String)> = DOC_FILES
@@ -121,6 +131,14 @@ pub fn find_workspace_root(start: &Path) -> Option<PathBuf> {
         dir = d.parent().map(Path::to_path_buf);
     }
     None
+}
+
+/// The first `name = "..."` of a manifest: its `[package]` name.
+fn package_name(manifest: &str) -> Option<String> {
+    manifest
+        .lines()
+        .find_map(|l| l.strip_prefix("name = \"")?.strip_suffix('"'))
+        .map(str::to_string)
 }
 
 fn collect_rs_files(dir: &Path, out: &mut Vec<PathBuf>) {

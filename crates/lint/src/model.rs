@@ -108,6 +108,9 @@ impl FileModel {
 pub struct WorkspaceModel {
     /// Per-file models, in sorted path order.
     pub files: Vec<FileModel>,
+    /// Package names of the `crates/*` manifests. A bin-only crate's name
+    /// occurs in no Rust source, yet the docs name it.
+    pub packages: BTreeSet<String>,
 }
 
 impl WorkspaceModel {

@@ -126,8 +126,11 @@ fn check_dead_knobs(model: &WorkspaceModel, diags: &mut Vec<Diagnostic>) {
 /// rename-in-code-only drift the per-file `csv/schema-sync` cannot see.
 fn check_csv_docs(model: &WorkspaceModel, docs: &[(String, String)], diags: &mut Vec<Diagnostic>) {
     let columns = model.csv_columns();
-    let known_ident =
-        |name: &str| columns.contains(name) || model.files.iter().any(|f| f.idents.contains(name));
+    let known_ident = |name: &str| {
+        columns.contains(name)
+            || model.packages.contains(name)
+            || model.files.iter().any(|f| f.idents.contains(name))
+    };
     for (path, text) in docs {
         let mut in_fence = false;
         for (i, raw_line) in text.lines().enumerate() {
@@ -245,6 +248,7 @@ mod tests {
                 .iter()
                 .map(|(rel, src)| parse_file(rel, &lex(src)))
                 .collect(),
+            packages: ["nvr_bench".to_string()].into(),
         }
     }
 
@@ -312,6 +316,7 @@ mod tests {
             "README.md".to_string(),
             "The sweep CSV carries `tile_id,total_cycles`.\n\
              Columns `tile_id` and `ghost_column` matter.\n\
+             The `nvr_bench` package has no Rust identifier.\n\
              ```\ncode fence with `fake_col` is skipped\n```\n\
              CLI flags like `--out nvr-lint.json` are not columns.\n"
                 .to_string(),

@@ -84,12 +84,6 @@ pub fn run_jobs(scale: Scale, seed: u64, jobs: usize) -> Fig1b {
     Fig1b { points }
 }
 
-/// Runs the sweep single-threaded.
-#[must_use]
-pub fn run(scale: Scale, seed: u64) -> Fig1b {
-    run_jobs(scale, seed, 1)
-}
-
 impl fmt::Display for Fig1b {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(
@@ -120,7 +114,7 @@ mod tests {
 
     #[test]
     fn speedup_saturates_below_reduction() {
-        let data = run(Scale::Tiny, 3);
+        let data = run_jobs(Scale::Tiny, 3, 1);
         assert_eq!(data.points.len(), 5);
         let p16 = data.speedup_at_16x();
         assert!(p16 > 1.5, "sparsity should speed things up ({p16})");

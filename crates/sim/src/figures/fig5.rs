@@ -165,12 +165,6 @@ pub fn run_jobs(scale: Scale, seed: u64, jobs: usize) -> Fig5 {
     Fig5 { bars }
 }
 
-/// Runs all four panels, single-threaded.
-#[must_use]
-pub fn run(scale: Scale, seed: u64) -> Fig5 {
-    run_jobs(scale, seed, 1)
-}
-
 impl fmt::Display for Fig5 {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         for (width, nsb) in [

@@ -89,12 +89,6 @@ pub fn run_jobs(scale: Scale, seed: u64, jobs: usize) -> Fig6b {
     run_jobs_with_workloads(scale, seed, jobs, &WorkloadId::ALL)
 }
 
-/// Single-threaded convenience wrapper over [`run_jobs`].
-#[must_use]
-pub fn run(scale: Scale, seed: u64) -> Fig6b {
-    run_jobs(scale, seed, 1)
-}
-
 /// Runs with a workload subset (tests use fewer) on `jobs` workers.
 #[must_use]
 pub fn run_jobs_with_workloads(

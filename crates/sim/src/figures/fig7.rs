@@ -123,12 +123,6 @@ pub fn run_jobs(scale: Scale, seed: u64, jobs: usize) -> Fig7 {
     }
 }
 
-/// Runs the three configurations, single-threaded.
-#[must_use]
-pub fn run(scale: Scale, seed: u64) -> Fig7 {
-    run_jobs(scale, seed, 1)
-}
-
 impl fmt::Display for Fig7 {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(f, "Fig. 7 — bandwidth allocation (bytes, all workloads)")?;

@@ -140,12 +140,6 @@ pub fn run_jobs(scale: Scale, seed: u64, jobs: usize) -> Fig7b {
     run_jobs_with_workloads(scale, seed, jobs, &WorkloadId::ALL)
 }
 
-/// Single-threaded convenience wrapper over [`run_jobs`].
-#[must_use]
-pub fn run(scale: Scale, seed: u64) -> Fig7b {
-    run_jobs(scale, seed, 1)
-}
-
 impl fmt::Display for Fig7b {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(

@@ -207,12 +207,6 @@ pub fn run_jobs(seed: u64, fast: bool, jobs: usize) -> Fig8 {
     fig
 }
 
-/// Runs all three panels, single-threaded.
-#[must_use]
-pub fn run(seed: u64, fast: bool) -> Fig8 {
-    run_jobs(seed, fast, 1)
-}
-
 impl fmt::Display for Fig8 {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(f, "Fig. 8a — per-layer miss rates (InO vs NVR)")?;
@@ -274,7 +268,7 @@ mod tests {
 
     #[test]
     fn nvr_improves_decode_and_batch_misses() {
-        let fig = run(3, true);
+        let fig = run_jobs(3, true, 1);
         // Panel (a): NVR shrinks both miss metrics on the gather layers;
         // batch misses stay >= element misses.
         for layer in ["QKT", "AV"] {

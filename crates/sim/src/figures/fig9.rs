@@ -171,12 +171,6 @@ pub fn run_subset_jobs(
     }
 }
 
-/// Single-threaded subset runner (tests).
-#[must_use]
-pub fn run_subset(scale: Scale, seed: u64, nsb_sizes: &[u64], l2_sizes: &[u64]) -> Fig9 {
-    run_subset_jobs(scale, seed, nsb_sizes, l2_sizes, 1)
-}
-
 /// Density sweep points (occupied voxels of the MK-shaped scene).
 pub const DENSITY_POINTS: [usize; 3] = [2048, 8192, 16384];
 
@@ -302,12 +296,6 @@ pub fn run_jobs(scale: Scale, seed: u64, jobs: usize) -> Fig9 {
     fig
 }
 
-/// Runs the full paper grid, single-threaded.
-#[must_use]
-pub fn run(scale: Scale, seed: u64) -> Fig9 {
-    run_jobs(scale, seed, 1)
-}
-
 impl fmt::Display for Fig9 {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(
@@ -415,7 +403,7 @@ mod tests {
 
     #[test]
     fn bigger_caches_do_not_hurt_latency() {
-        let fig = run_subset(Scale::Tiny, 4, &[4, 16], &[64, 256]);
+        let fig = run_subset_jobs(Scale::Tiny, 4, &[4, 16], &[64, 256], 1);
         assert_eq!(fig.cells.len(), 4);
         let small = fig.cell(4, 64).expect("cell").cycles;
         let big = fig.cell(16, 256).expect("cell").cycles;
@@ -426,7 +414,7 @@ mod tests {
     fn nsb_growth_beats_area_penalty_at_large_l2() {
         // The paper's Fig. 9 claim in shape: at a 256 KB L2, quadrupling
         // the (tiny) NSB raises perf/area.
-        let fig = run_subset(Scale::Tiny, 4, &[4, 16], &[256]);
+        let fig = run_subset_jobs(Scale::Tiny, 4, &[4, 16], &[256], 1);
         let small = fig.cell(4, 256).expect("cell").perf;
         let big = fig.cell(16, 256).expect("cell").perf;
         assert!(big > small, "NSB 16 KB {big} should beat 4 KB {small}");
@@ -479,7 +467,7 @@ mod tests {
 
     #[test]
     fn perf_metric_penalises_area() {
-        let fig = run_subset(Scale::Tiny, 4, &[4], &[64, 1024]);
+        let fig = run_subset_jobs(Scale::Tiny, 4, &[4], &[64, 1024], 1);
         let small = fig.cell(4, 64).expect("cell");
         let big = fig.cell(4, 1024).expect("cell");
         // Unless the big L2 is dramatically faster, its perf/area is lower.

@@ -193,22 +193,10 @@ pub fn run_jobs_with_workloads(
     }
 }
 
-/// Single-threaded variant of [`run_jobs_with_workloads`].
-#[must_use]
-pub fn run_with_workloads(scale: Scale, seed: u64, workloads: &[WorkloadId]) -> Headline {
-    run_jobs_with_workloads(scale, seed, 1, workloads)
-}
-
 /// Recomputes the claims over all eight workloads on `jobs` workers.
 #[must_use]
 pub fn run_jobs(scale: Scale, seed: u64, jobs: usize) -> Headline {
     run_jobs_with_workloads(scale, seed, jobs, &WorkloadId::ALL)
-}
-
-/// Recomputes the claims over all eight workloads, single-threaded.
-#[must_use]
-pub fn run(scale: Scale, seed: u64) -> Headline {
-    run_jobs(scale, seed, 1)
 }
 
 impl fmt::Display for Headline {
@@ -255,7 +243,7 @@ mod tests {
 
     #[test]
     fn claims_hold_in_shape_on_subset() {
-        let h = run_with_workloads(Scale::Tiny, 9, &[WorkloadId::Ds, WorkloadId::Gcn]);
+        let h = run_jobs_with_workloads(Scale::Tiny, 9, 1, &[WorkloadId::Ds, WorkloadId::Gcn]);
         assert!(
             h.speedup_vs_no_prefetch > 1.5,
             "speedup {}",

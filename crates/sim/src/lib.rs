@@ -2,9 +2,9 @@
 //!
 //! Wires the NPU engine, the memory hierarchy, the baseline prefetchers and
 //! NVR into comparable runs, and regenerates every table and figure of the
-//! paper's evaluation (§V). Each `figures::fig*` module returns structured
+//! paper's evaluation (§V). Each `figures::*` module returns structured
 //! data *and* prints a paper-style text rendition, so the same code backs
-//! the CLI binaries and the integration tests.
+//! the `sweep` binary and the integration tests.
 //!
 //! # Examples
 //!

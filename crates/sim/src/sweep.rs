@@ -44,8 +44,8 @@ use nvr_workloads::{Scale, TileOrder, WorkloadId, WorkloadSpec};
 use crate::report::{fmt3, Table};
 use crate::runner::{run_system_tuned, RunOutcome, SystemKind};
 
-/// Seed the experiment harnesses default to (kept in sync with
-/// `nvr_bench::EXPERIMENT_SEED`).
+/// Seed the experiment harnesses default to: `sweep`'s figures mode and
+/// the `perf` grid.
 pub const DEFAULT_SEED: u64 = 2025;
 
 /// The cartesian sweep specification: every combination of the five axes

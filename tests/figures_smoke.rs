@@ -6,7 +6,7 @@ use nvr::workloads::{Scale, WorkloadId};
 
 #[test]
 fn fig1b_renders() {
-    let data = figures::fig1b::run(Scale::Tiny, 1);
+    let data = figures::fig1b::run_jobs(Scale::Tiny, 1, 1);
     assert_eq!(data.points.len(), 5);
     let text = data.to_string();
     assert!(text.contains("16x"));
@@ -15,7 +15,7 @@ fn fig1b_renders() {
 
 #[test]
 fn fig6_subset_renders() {
-    let data = figures::fig6::run_with_workloads(Scale::Tiny, 2, &[WorkloadId::H2o]);
+    let data = figures::fig6::run_jobs_with_workloads(Scale::Tiny, 2, 1, &[WorkloadId::H2o]);
     assert_eq!(data.cells.len(), 5); // one workload x five prefetchers
     assert_eq!(data.movement.len(), 3);
     let text = data.to_string();
@@ -35,7 +35,7 @@ fn fig7b_subset_renders() {
 
 #[test]
 fn fig9_subset_renders() {
-    let data = figures::fig9::run_subset(Scale::Tiny, 3, &[4, 16], &[64, 256]);
+    let data = figures::fig9::run_subset_jobs(Scale::Tiny, 3, &[4, 16], &[64, 256], 1);
     assert_eq!(data.cells.len(), 4);
     let text = data.to_string();
     assert!(text.contains("NSB"));
@@ -61,7 +61,35 @@ fn table2_lists_all_workloads() {
 
 #[test]
 fn headline_subset_is_positive() {
-    let h = figures::headline::run_with_workloads(Scale::Tiny, 4, &[WorkloadId::Ds]);
+    let h = figures::headline::run_jobs_with_workloads(Scale::Tiny, 4, 1, &[WorkloadId::Ds]);
     assert!(h.speedup_vs_no_prefetch > 1.0);
     assert!(h.to_string().contains("speedup"));
+}
+
+#[test]
+fn ablations_renders() {
+    let data = figures::ablations::run_jobs(Scale::Tiny, 5, 2);
+    assert_eq!(data.nsb_ways.len(), 5);
+    assert_eq!(data.variants.len(), 27); // 3 workloads x 9 variants
+    let text = data.to_string();
+    for ways in [1, 2, 4, 8, 16] {
+        assert!(
+            text.contains(&format!("{ways:>2}-way:")),
+            "missing {ways}-way"
+        );
+    }
+    for w in ["DS", "GAT", "MK"] {
+        assert!(
+            text.contains(&format!("default on {w:>5}:")),
+            "missing {w} rows"
+        );
+    }
+    assert!(text.contains("deep lookahead (2048 ln)"));
+    for jobs in [1, 4] {
+        assert_eq!(
+            figures::ablations::run_jobs(Scale::Tiny, 5, jobs).to_string(),
+            text,
+            "rendition differs at jobs = {jobs}"
+        );
+    }
 }
