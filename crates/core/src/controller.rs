@@ -17,8 +17,7 @@
 //!    scheduling intermediate table probes for two-level chains
 //!    (`ProbeWait`);
 //! 4. **vector issue** — resolved target lines drain through the VMIG,
-//!    which accumulates a full vector ([`NvrConfig::vmig_batch_lines`]
-//!    lines) while resolution is flowing and flushes whenever the thread
+//!    which accumulates a full vector (`VMIG_BATCH_LINES` lines) while resolution is flowing and flushes whenever the thread
 //!    blocks or runs dry, filling L2 (and the NSB when configured). The
 //!    issue stage paces on *per-channel* occupancy of the multi-channel
 //!    DRAM backend: a line whose channel's prefetch queue is full defers
@@ -52,7 +51,7 @@
 //! The lookahead is kept honest by a DARE-style usefulness throttle fed
 //! by measured per-prefetch lifetimes (issue, first use, unused eviction
 //! — see [`crate::lifetime`]): when the rolling evicted-unused ratio
-//! crosses [`NvrConfig::throttle_evicted_ratio`], the effective depth
+//! crosses `THROTTLE_EVICTED_RATIO`, the effective depth
 //! collapses to a single window until the speculation is being consumed
 //! again, and once *any* waste has been observed, oversized window
 //! predictions are chunked down to the reach budget so the speculative
@@ -84,6 +83,31 @@ use crate::reuse::ReusePredictor;
 use crate::sparse_chain::SparseChainDetector;
 use crate::stride_detector::StrideDetector;
 use crate::vmig::Vmig;
+
+/// Line capacity of one VIGU vector operation (§IV-F). Each of the N PIE
+/// lanes resolves one gather target per cycle, and a target row may
+/// straddle a line boundary, so the issued vector carries up to `2 * N`
+/// line addresses. Collapsing this to N lines (the pre-calibration value)
+/// throttles VMIG drain on multi-line rows and under-reports the paper's
+/// miss coverage. 32 = `2 * 16`, the paper's N (Table I).
+const VMIG_BATCH_LINES: usize = 32;
+
+/// DARE-style usefulness throttle: when the rolling ratio of evicted-unused
+/// prefetches (measured by [`LifetimeTracker`] over the last
+/// [`THROTTLE_WINDOW`] resolved prefetches) crosses this threshold, the
+/// effective lookahead depth collapses back to 1, recovering as the ratio
+/// drops. Filters lookahead by *observed* usefulness rather than window
+/// extent — deep lookahead where it pays, shallow where it pollutes. 0.1: a
+/// rolling window where more than one prefetch in ten is evicted untouched
+/// means the pipeline is churning the L2 (GCN-class turnover) and pipelined
+/// opens stop paying for themselves.
+const THROTTLE_EVICTED_RATIO: f64 = 0.1;
+
+/// Resolved-prefetch capacity of the throttle's rolling window. Smaller
+/// reacts faster but jitters; larger smooths phase changes away. 128 =
+/// half the default line budget, so a fully wasted window is noticed
+/// within one lookahead depth's worth of outcomes.
+const THROTTLE_WINDOW: usize = 128;
 
 /// Progress of one speculative window in the lookahead pipeline.
 #[derive(Debug, Clone)]
@@ -198,7 +222,7 @@ impl NvrPrefetcher {
             reason = "init-time config validation in the constructor, outside the tick loop"
         )]
         cfg.validate().expect("nvr config must be valid");
-        let mut vmig = Vmig::new(cfg.vmig_batch_lines);
+        let mut vmig = Vmig::new(VMIG_BATCH_LINES);
         vmig.set_nsb_admit(if cfg.fill_nsb {
             cfg.nsb_admit_min_reuse
         } else {
@@ -209,7 +233,7 @@ impl NvrPrefetcher {
             lbd: LoopBoundDetector::new(cfg.fuzzy_factor),
             scd: SparseChainDetector::new(),
             vmig,
-            lifetime: LifetimeTracker::new(cfg.throttle_window),
+            lifetime: LifetimeTracker::new(THROTTLE_WINDOW),
             reuse: ReusePredictor::new(),
             clock: 0,
             windows: VecDeque::with_capacity(cfg.lookahead_tiles),
@@ -255,7 +279,7 @@ impl NvrPrefetcher {
     /// The current lookahead depth after the usefulness throttle: the
     /// configured [`NvrConfig::lookahead_tiles`] while the rolling
     /// evicted-unused ratio stays below
-    /// [`NvrConfig::throttle_evicted_ratio`]; 1 (the single-window
+    /// `THROTTLE_EVICTED_RATIO`; 1 (the single-window
     /// episode loop) once it crosses — DARE-style filtering by observed
     /// usefulness rather than window extent.
     #[must_use]
@@ -263,7 +287,7 @@ impl NvrPrefetcher {
         let d = self.cfg.lookahead_tiles;
         if d > 1
             && self.lifetime.warmed_up()
-            && self.lifetime.rolling_wasted_ratio() > self.cfg.throttle_evicted_ratio
+            && self.lifetime.rolling_wasted_ratio() > THROTTLE_EVICTED_RATIO
         {
             1
         } else {
@@ -448,7 +472,7 @@ impl NvrPrefetcher {
         // prefetch stream is already ahead of the channel, and opening
         // deeper windows would only queue speculative traffic in front of
         // demand fetches on the shared DRAM channel.
-        let backlog_ok = self.vmig.pending() < 2 * self.cfg.vmig_batch_lines;
+        let backlog_ok = self.vmig.pending() < 2 * VMIG_BATCH_LINES;
         if backlog_ok && self.windows.len() < self.effective_depth() && self.try_start(snoop, mem) {
             return StepOutcome::Worked;
         }
@@ -689,7 +713,7 @@ impl Prefetcher for NvrPrefetcher {
         // Per cycle: the VIGU issue port drains one vector while the
         // runahead thread (sparse unit + PIE) makes independent progress —
         // they are separate hardware units. The VIGU accumulates a *full*
-        // vector (`vmig_batch_lines`) while resolution is flowing — partial
+        // vector (`VMIG_BATCH_LINES`) while resolution is flowing — partial
         // issue would fragment the speculative MSHR file across undersized
         // vectors — and flushes whenever the thread blocks or runs dry.
         while self.clock < to {
@@ -697,7 +721,7 @@ impl Prefetcher for NvrPrefetcher {
                 .windows
                 .iter()
                 .any(|st| matches!(st.phase, Phase::Resolve { .. }));
-            let issued = if self.vmig.pending() >= self.cfg.vmig_batch_lines || !flowing {
+            let issued = if self.vmig.pending() >= VMIG_BATCH_LINES || !flowing {
                 self.vmig.issue(mem, self.clock, self.cfg.fill_nsb) > 0
             } else {
                 false

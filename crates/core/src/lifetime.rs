@@ -11,7 +11,7 @@
 //!   timely / late / evicted-unused counts (fig. 6b's data), and
 //! * a rolling wasted-prefetch ratio over the most recent resolved
 //!   prefetches, which the controller compares against
-//!   [`crate::NvrConfig::throttle_evicted_ratio`] to back its cross-tile
+//!   its fixed evicted-unused threshold (0.1) to back its cross-tile
 //!   lookahead depth off — filtered runahead in the spirit of DARE's
 //!   usefulness-gated prefetch stream, where the throttle input is
 //!   *observed* usefulness rather than window extent.

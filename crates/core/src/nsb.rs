@@ -42,14 +42,9 @@ pub fn nsb_config(kib: u64) -> CacheConfig {
     while ways > 1 && !size_bytes.is_multiple_of(nvr_common::LINE_BYTES * ways) {
         ways -= 1;
     }
-    CacheConfig {
-        name: "NSB",
-        size_bytes,
-        ways,
-        hit_latency: 2,
-        mshr_entries: 16,
-        policy: RetentionPolicy::Lru,
-    }
+    CacheConfig::nsb_default()
+        .with_size(size_bytes)
+        .with_ways(ways)
 }
 
 /// [`nsb_config`] with the reuse-aware retention policy
@@ -90,6 +85,7 @@ mod tests {
             assert_eq!(cfg.size_bytes, kib * 1024);
             assert_eq!(cfg.ways, 16, "{kib} KiB should support 16 ways");
         }
+        assert_eq!(nsb_config(16), CacheConfig::nsb_default());
     }
 
     #[test]

@@ -1003,6 +1003,34 @@ mod tests {
     }
 
     #[test]
+    fn lru_ignores_scores() {
+        // Same operation sequence against two LRU caches, one fed non-zero
+        // scores and one zeros: an LRU level must not act on the scores a
+        // scoring prefetcher sends it.
+        let mut scored = tiny_cache(2, 1);
+        let mut zeros = tiny_cache(2, 1);
+        for (c, s) in [(&mut scored, 1u32), (&mut zeros, 0)] {
+            assert!(c.install_speculative_scored(LineAddr::new(1), 5, 0, 0, 9 * s));
+            assert!(c.install_speculative_scored(LineAddr::new(2), 6, 1, 0, s));
+            c.refresh_reuse(LineAddr::new(1), 20 * s);
+            c.probe(LineAddr::new(2), 10, true);
+            // Line 1 is least recent: evicted despite its score, where a
+            // scored level would reject the zero-score fill instead.
+            assert!(c.install_speculative_scored(LineAddr::new(3), 20, 11, 0, 0));
+            assert_eq!(c.probe(LineAddr::new(1), 30, true), ProbeResult::Miss);
+            c.install(LineAddr::new(1), 40, false, 30); // evicts 2
+            c.refresh_reuse(LineAddr::new(3), 7 * s);
+            c.finalize_stats();
+        }
+        for line in [1u64, 2, 3] {
+            let line = LineAddr::new(line);
+            assert_eq!(scored.contains(line), zeros.contains(line));
+        }
+        assert!(!scored.contains(LineAddr::new(2)));
+        assert_eq!(scored.stats(), zeros.stats());
+    }
+
+    #[test]
     fn scored_never_clobbers_midfill_line_when_filled_victim_exists() {
         let mut c = tiny_scored(2, 1);
         c.install_speculative_scored(LineAddr::new(1), 100, 0, 0, 4); // mid-fill until 100

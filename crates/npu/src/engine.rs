@@ -11,6 +11,21 @@ use crate::result::RunResult;
 use crate::sparse_unit::SparseUnit;
 use crate::systolic::SystolicArray;
 
+/// SIMD lanes / gather elements per vector load: the paper's N=16
+/// (Table I), which is also the sparse unit's index-processing width.
+const VECTOR_WIDTH: usize = 16;
+/// Scratchpad capacity in bytes (Gemmini default: 256 KB). A tile's
+/// operands are freed when it retires, so the capacity bounds each DMA
+/// transfer, not their sum.
+const SCRATCHPAD_BYTES: u64 = 256 * 1024;
+/// DMA engine throughput, bytes per cycle.
+const DMA_BYTES_PER_CYCLE: u64 = 32;
+/// Coarse loads the load controller can issue per cycle.
+const LOADS_PER_CYCLE: u64 = 1;
+/// Tile-granular ROB window of [`ExecMode::OutOfOrder`]: loads for up to
+/// this many upcoming tiles issue while earlier tiles compute.
+const ROB_TILES: usize = 8;
+
 /// The NPU engine: executes an [`NpuProgram`] against a memory system,
 /// driving an attached prefetcher with events and idle windows.
 ///
@@ -54,13 +69,8 @@ struct Counters {
 
 impl NpuEngine {
     /// Creates an engine with the given configuration.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the configuration fails [`NpuConfig::validate`].
     #[must_use]
     pub fn new(cfg: NpuConfig) -> Self {
-        cfg.validate().expect("npu config must be valid");
         NpuEngine {
             cfg,
             systolic: SystolicArray::gemmini_default(),
@@ -92,10 +102,21 @@ impl NpuEngine {
     ) -> RunResult {
         match self.cfg.exec {
             ExecMode::InOrder => self.run_in_order(program, mem, prefetcher),
-            ExecMode::OutOfOrder { rob_tiles } => {
-                self.run_out_of_order(program, mem, prefetcher, rob_tiles)
-            }
+            ExecMode::OutOfOrder => self.run_out_of_order(program, mem, prefetcher),
         }
+    }
+
+    /// Starts a tile's dense operand DMA of `bytes` at `now`; returns the
+    /// cycle it completes. The scratchpad's one DMA engine (next free at
+    /// `dma_free`) serialises transfers, and the off-chip channel streams
+    /// the same bytes in parallel.
+    fn dma_in(dma_free: &mut Cycle, mem: &mut MemorySystem, now: Cycle, bytes: u64) -> Cycle {
+        if bytes == 0 {
+            return now;
+        }
+        let start = now.max(*dma_free);
+        *dma_free = start + bytes.min(SCRATCHPAD_BYTES).div_ceil(DMA_BYTES_PER_CYCLE);
+        (*dma_free).max(mem.dma_read_bytes(now, bytes))
     }
 
     fn snoop_for(
@@ -150,7 +171,7 @@ impl NpuEngine {
         let first_line = tile.index_region.start().line();
         let mut line_missed = Vec::new();
         for (k, line) in tile.index_region.lines().enumerate() {
-            let t = issue_at + (k as u64) / self.cfg.loads_per_cycle;
+            let t = issue_at + (k as u64) / LOADS_PER_CYCLE;
             let r = mem.demand_line(line, t);
             ready = ready.max(r.ready_at);
             counters.index_lines += 1;
@@ -274,9 +295,8 @@ impl NpuEngine {
         prefetcher: &mut dyn Prefetcher,
     ) -> RunResult {
         let mut counters = Counters::default();
-        let mut spad =
-            nvr_mem::Scratchpad::new(self.cfg.scratchpad_bytes, self.cfg.dma_bytes_per_cycle);
-        let mut sparse_unit = SparseUnit::new(self.cfg.vector_width);
+        let mut dma_free: Cycle = 0;
+        let mut sparse_unit = SparseUnit::new(VECTOR_WIDTH);
         let index_base = program
             .tiles
             .first()
@@ -286,16 +306,7 @@ impl NpuEngine {
 
         for tile in &program.tiles {
             let snoop = Self::snoop_for(program, tile, index_base, 0, true, true);
-            // Dense operand DMA: engine-side and channel-side in parallel.
-            let dma_done = if tile.dma_bytes > 0 {
-                let engine_side = spad
-                    .dma_in(cycle, tile.dma_bytes.min(self.cfg.scratchpad_bytes))
-                    .expect("tile DMA sized within scratchpad");
-                let channel_side = mem.dma_read_bytes(cycle, tile.dma_bytes);
-                engine_side.max(channel_side)
-            } else {
-                cycle
-            };
+            let dma_done = Self::dma_in(&mut dma_free, mem, cycle, tile.dma_bytes);
 
             // Index loads.
             let index_ready =
@@ -364,12 +375,9 @@ impl NpuEngine {
         program: &NpuProgram,
         mem: &mut MemorySystem,
         prefetcher: &mut dyn Prefetcher,
-        rob_tiles: usize,
     ) -> RunResult {
         let mut counters = Counters::default();
-        let mut spad =
-            nvr_mem::Scratchpad::new(self.cfg.scratchpad_bytes, self.cfg.dma_bytes_per_cycle);
-        let mut sparse_unit = SparseUnit::new(self.cfg.vector_width);
+        let mut dma_free: Cycle = 0;
         let index_base = program
             .tiles
             .first()
@@ -382,23 +390,14 @@ impl NpuEngine {
 
         for (i, tile) in program.tiles.iter().enumerate() {
             let snoop = Self::snoop_for(program, tile, index_base, 0, true, true);
-            // ROB gating: tile i's loads wait for tile i-rob_tiles to start.
-            let gate = if i >= rob_tiles {
-                compute_starts[i - rob_tiles]
+            // ROB gating: tile i's loads wait for tile i-ROB_TILES to start.
+            let gate = if i >= ROB_TILES {
+                compute_starts[i - ROB_TILES]
             } else {
                 0
             };
             let issue_base = load_free.max(gate);
-
-            let dma_done = if tile.dma_bytes > 0 {
-                let engine_side = spad
-                    .dma_in(issue_base, tile.dma_bytes.min(self.cfg.scratchpad_bytes))
-                    .expect("tile DMA sized within scratchpad");
-                let channel_side = mem.dma_read_bytes(issue_base, tile.dma_bytes);
-                engine_side.max(channel_side)
-            } else {
-                issue_base
-            };
+            let dma_done = Self::dma_in(&mut dma_free, mem, issue_base, tile.dma_bytes);
 
             let index_ready = self.load_index(
                 tile,
@@ -437,7 +436,6 @@ impl NpuEngine {
             let ready = data_ready.max(dma_done);
             let compute_start = compute_free.max(ready);
             compute_starts.push(compute_start);
-            let _sparse_done = sparse_unit.process(compute_start, tile.index_count());
             let compute_end = compute_start + tile.compute_cycles;
             counters.compute_cycles += tile.compute_cycles;
             compute_free = compute_end;
@@ -635,6 +633,56 @@ mod tests {
         // Probes hit the table lines (1 KB), targets hit 64 distinct rows.
         assert_eq!(r.gather_elements, 64);
         assert!(r.total_cycles > 2 * 164, "two serialised memory levels");
+    }
+
+    /// Cycles to run `tiles` DMA-only tiles of `dma_bytes` each, with one
+    /// compute cycle apiece. Ideal memory takes the off-chip channel out of
+    /// the timing, so only the scratchpad's DMA engine sets it.
+    fn dma_only_cycles(cfg: NpuConfig, tiles: usize, dma_bytes: u64) -> Cycle {
+        let tiles = (0..tiles)
+            .map(|id| TileOp {
+                id,
+                index_region: Region::new(Addr::new(0x10_0000), 0),
+                gather: None,
+                dma_bytes,
+                compute_cycles: 1,
+                store_bytes: 0,
+            })
+            .collect();
+        let program = NpuProgram {
+            name: "dma".into(),
+            width: DataWidth::Int8,
+            tiles,
+            image: MemoryImage::new(),
+        };
+        program.assert_valid();
+        let mut mem = MemorySystem::ideal(MemoryConfig::default());
+        NpuEngine::new(cfg)
+            .run(&program, &mut mem, &mut NullPrefetcher::new())
+            .total_cycles
+    }
+
+    #[test]
+    fn dma_takes_bytes_over_width() {
+        let cycles = dma_only_cycles(NpuConfig::default(), 1, 4096);
+        assert_eq!(cycles, 4096 / DMA_BYTES_PER_CYCLE + 1);
+    }
+
+    /// The scratchpad has one DMA engine. Under OoO two DMA-only tiles
+    /// both issue at cycle 0, so their transfers must queue on it: the
+    /// second tile's operands land one full transfer after the first's.
+    #[test]
+    fn ooo_dma_transfers_do_not_overlap() {
+        let one = SCRATCHPAD_BYTES / DMA_BYTES_PER_CYCLE;
+        let cycles = dma_only_cycles(NpuConfig::out_of_order(), 2, SCRATCHPAD_BYTES);
+        assert_eq!(cycles, 2 * one + 1);
+    }
+
+    #[test]
+    fn oversized_dma_is_clamped_to_scratchpad() {
+        let one = SCRATCHPAD_BYTES / DMA_BYTES_PER_CYCLE;
+        let cycles = dma_only_cycles(NpuConfig::default(), 1, 2 * SCRATCHPAD_BYTES);
+        assert_eq!(cycles, one + 1);
     }
 
     #[test]

@@ -25,7 +25,6 @@ use nvr_common::Cycle;
 pub struct SparseUnit {
     lanes: usize,
     busy_until: Cycle,
-    total_busy: u64,
 }
 
 impl SparseUnit {
@@ -40,7 +39,6 @@ impl SparseUnit {
         SparseUnit {
             lanes,
             busy_until: 0,
-            total_busy: 0,
         }
     }
 
@@ -50,7 +48,6 @@ impl SparseUnit {
         let cycles = (n_indices as u64).div_ceil(self.lanes as u64);
         let begin = start.max(self.busy_until);
         self.busy_until = begin + cycles;
-        self.total_busy += cycles;
         self.busy_until
     }
 
@@ -58,18 +55,6 @@ impl SparseUnit {
     #[must_use]
     pub fn is_idle(&self, cycle: Cycle) -> bool {
         cycle >= self.busy_until
-    }
-
-    /// Cycle at which the unit next becomes idle.
-    #[must_use]
-    pub fn idle_at(&self) -> Cycle {
-        self.busy_until
-    }
-
-    /// Total cycles the unit has been busy over the run.
-    #[must_use]
-    pub fn total_busy_cycles(&self) -> u64 {
-        self.total_busy
     }
 }
 
@@ -90,7 +75,6 @@ mod tests {
         let mut su = SparseUnit::new(16);
         assert_eq!(su.process(0, 32), 2);
         assert_eq!(su.process(0, 32), 4); // queued behind the first
-        assert_eq!(su.total_busy_cycles(), 4);
     }
 
     #[test]
@@ -99,8 +83,8 @@ mod tests {
         assert!(su.is_idle(0));
         su.process(10, 160); // busy 10..20 (reserved from now on)
         assert!(!su.is_idle(15));
+        assert!(!su.is_idle(19));
         assert!(su.is_idle(20));
-        assert_eq!(su.idle_at(), 20);
     }
 
     #[test]

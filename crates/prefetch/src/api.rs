@@ -120,9 +120,11 @@ pub trait Prefetcher {
         mem: &mut MemorySystem,
     );
 
-    /// Whether this prefetcher's fills should also populate the NSB
-    /// (§IV-G: NSB pays off only with accurate prefetchers; the engine
-    /// honours this flag when an NSB is configured).
+    /// Whether this prefetcher's fills also populate the NSB (§IV-G: the
+    /// NSB pays off only with accurate prefetchers). A description, not a
+    /// control: no engine or memory-system code reads it. Each prefetcher
+    /// makes the choice itself, per fill, through the `fill_nsb` argument
+    /// of [`MemorySystem::prefetch_line`].
     fn fills_nsb(&self) -> bool {
         false
     }

@@ -3,10 +3,10 @@
 //!
 //! On a demand-gather stall, DVR enters runahead: it walks the index stream
 //! forward from the stall point, speculatively executing the indirect chain
-//! (including table probes) for a fixed distance of `runahead_elems`
+//! (including table probes) for a fixed distance of `RUNAHEAD_ELEMS`
 //! elements, vectorising target prefetches. The paper grants DVR the same
 //! parallelism as NVR (§V-A: "expanded ... to the same number of
-//! parallels"), which we honour via `issue_per_cycle`.
+//! parallels"), which we honour via `ISSUE_PER_CYCLE`.
 //!
 //! What DVR structurally lacks relative to NVR (§II-C, §IV):
 //!
@@ -24,23 +24,10 @@ use nvr_trace::{AccessEvent, EventKind, MemoryImage, SnoopState, SparseFunc};
 
 use crate::api::Prefetcher;
 
-/// Tuning knobs for [`DvrPrefetcher`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DvrConfig {
-    /// Index elements speculatively executed per runahead episode.
-    pub runahead_elems: usize,
-    /// Target-line prefetches issued per cycle while draining.
-    pub issue_per_cycle: usize,
-}
-
-impl Default for DvrConfig {
-    fn default() -> Self {
-        DvrConfig {
-            runahead_elems: 64,
-            issue_per_cycle: 4,
-        }
-    }
-}
+/// Index elements speculatively executed per runahead episode.
+const RUNAHEAD_ELEMS: usize = 64;
+/// Target-line prefetches issued per cycle while draining.
+const ISSUE_PER_CYCLE: usize = 4;
 
 /// An active runahead episode.
 #[derive(Debug, Clone)]
@@ -70,7 +57,6 @@ struct Episode {
 /// ```
 #[derive(Debug, Clone)]
 pub struct DvrPrefetcher {
-    cfg: DvrConfig,
     /// Address of the most recently observed index element.
     last_index_addr: Option<Addr>,
     /// Detected element stride of the index stream (bytes).
@@ -80,18 +66,6 @@ pub struct DvrPrefetcher {
 }
 
 impl DvrPrefetcher {
-    /// Creates a DVR with the given configuration.
-    #[must_use]
-    pub fn new(cfg: DvrConfig) -> Self {
-        DvrPrefetcher {
-            cfg,
-            last_index_addr: None,
-            index_stride: 4,
-            episode: None,
-            clock: 0,
-        }
-    }
-
     /// Whether a runahead episode is currently active (for tests).
     #[must_use]
     pub fn in_runahead(&self) -> bool {
@@ -206,14 +180,14 @@ impl DvrPrefetcher {
         true
     }
 
-    /// Issues queued target prefetches at up to `issue_per_cycle` per
+    /// Issues queued target prefetches at up to `ISSUE_PER_CYCLE` per
     /// cycle. Lines whose DRAM channel's prefetch queue is full are held
     /// back (order preserved) and retried next cycle, mirroring the
     /// per-channel back-pressure the paper grants every queue-bearing
     /// prefetcher.
     fn drain_queue(&mut self, mem: &mut MemorySystem) {
         if let Some(ep) = &mut self.episode {
-            let n = ep.queue.len().min(self.cfg.issue_per_cycle);
+            let n = ep.queue.len().min(ISSUE_PER_CYCLE);
             let mut deferred = Vec::new();
             for addr in ep.queue.drain(..n) {
                 if mem.prefetch_channel_ready(addr.line(), self.clock) {
@@ -229,7 +203,12 @@ impl DvrPrefetcher {
 
 impl Default for DvrPrefetcher {
     fn default() -> Self {
-        DvrPrefetcher::new(DvrConfig::default())
+        DvrPrefetcher {
+            last_index_addr: None,
+            index_stride: 4,
+            episode: None,
+            clock: 0,
+        }
     }
 }
 
@@ -261,7 +240,7 @@ impl Prefetcher for DvrPrefetcher {
                 if let Some(last) = self.last_index_addr {
                     self.episode = Some(Episode {
                         next_elem: last.offset(self.index_stride),
-                        remaining: self.cfg.runahead_elems,
+                        remaining: RUNAHEAD_ELEMS,
                         queue: Vec::new(),
                         blocked_until: 0,
                         pending_probe: None,
@@ -393,10 +372,7 @@ mod tests {
     #[test]
     fn episode_completes_and_rearms() {
         let (image, snoop) = affine_setup();
-        let mut p = DvrPrefetcher::new(DvrConfig {
-            runahead_elems: 8,
-            issue_per_cycle: 4,
-        });
+        let mut p = DvrPrefetcher::default();
         let mut mem = MemorySystem::new(MemoryConfig::default());
         p.observe(
             &AccessEvent::index_load(0, 0, Addr::new(0x1000), 0, false),
@@ -435,10 +411,7 @@ mod tests {
             row_bytes: 64,
         };
         let snoop = snoop_with_gather(func);
-        let mut p = DvrPrefetcher::new(DvrConfig {
-            runahead_elems: 8,
-            issue_per_cycle: 4,
-        });
+        let mut p = DvrPrefetcher::default();
         let mut mem = MemorySystem::new(MemoryConfig::default());
         p.observe(
             &AccessEvent::index_load(0, 0, Addr::new(0x1000), 0, false),
@@ -463,7 +436,7 @@ mod tests {
 
     #[test]
     fn overruns_past_array_end_prefetch_garbage() {
-        // Index array of only 4 elements; runahead of 32 overruns.
+        // Index array of only 4 elements; a `RUNAHEAD_ELEMS` episode overruns.
         let mut image = MemoryImage::new();
         image.add_u32_segment(Addr::new(0x1000), vec![1, 2, 3, 4]);
         let func = SparseFunc::Affine {
@@ -471,10 +444,7 @@ mod tests {
             row_bytes: 64,
         };
         let snoop = snoop_with_gather(func);
-        let mut p = DvrPrefetcher::new(DvrConfig {
-            runahead_elems: 32,
-            issue_per_cycle: 4,
-        });
+        let mut p = DvrPrefetcher::default();
         let mut mem = MemorySystem::new(MemoryConfig::default());
         p.observe(
             &AccessEvent::index_load(0, 0, Addr::new(0x1000), 1, false),

@@ -4,13 +4,13 @@
 //! to learn an affine mapping `target = base + (value << shift)`. Once a
 //! mapping is locked, every index value it sees — including values it reads
 //! *ahead* out of already-resident index lines — produces a target prefetch
-//! `distance` elements before the NPU's gather reaches it.
+//! `DISTANCE` elements before the NPU's gather reaches it.
 //!
 //! Mechanistic limits reproduced here, which drive its Fig. 5/6 standing:
 //!
 //! * non-affine chains (voxel-hash table lookups) never lock, so point-cloud
 //!   workloads get only the index-stream prefetches;
-//! * the lead time is bounded by `distance` index elements, far shorter than
+//! * the lead time is bounded by `DISTANCE` index elements, far shorter than
 //!   a runahead prefetcher's reach, costing timeliness (coverage);
 //! * a locked mapping is verified against later misses and unlocked on
 //!   repeated mismatch, so a workload phase change retrains.
@@ -24,33 +24,17 @@ use nvr_trace::{AccessEvent, EventKind, MemoryImage, SnoopState};
 use crate::api::Prefetcher;
 use crate::rpt::StrideEntry;
 
-/// Tuning knobs for [`ImpPrefetcher`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ImpConfig {
-    /// Index elements of lead: on seeing index element `p`, prefetch the
-    /// target of element `p + distance` (when its value is resident).
-    pub distance: u64,
-    /// Largest `shift` considered when learning `base + (value << shift)`.
-    pub max_shift: u32,
-    /// Candidate-table capacity.
-    pub candidates: usize,
-    /// Consecutive prediction mismatches before a locked mapping unlocks.
-    pub unlock_after: u32,
-    /// Lines of index stream prefetched ahead.
-    pub stream_degree: u64,
-}
-
-impl Default for ImpConfig {
-    fn default() -> Self {
-        ImpConfig {
-            distance: 16,
-            max_shift: 12,
-            candidates: 64,
-            unlock_after: 8,
-            stream_degree: 4,
-        }
-    }
-}
+/// Index elements of lead: on seeing index element `p`, prefetch the
+/// target of element `p + DISTANCE` (when its value is resident).
+const DISTANCE: u64 = 16;
+/// Largest `shift` considered when learning `base + (value << shift)`.
+const MAX_SHIFT: u32 = 12;
+/// Candidate-table capacity.
+const CANDIDATES: usize = 64;
+/// Consecutive prediction mismatches before a locked mapping unlocks.
+const UNLOCK_AFTER: u32 = 8;
+/// Lines of index stream prefetched ahead.
+const STREAM_DEGREE: u64 = 4;
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Mapping {
@@ -76,7 +60,6 @@ struct Candidate {
 /// ```
 #[derive(Debug, Clone)]
 pub struct ImpPrefetcher {
-    cfg: ImpConfig,
     /// Stride tracking of the index-load address stream.
     index_stride: StrideEntry,
     /// Recently observed index values (for correlation learning). A ring
@@ -89,19 +72,6 @@ pub struct ImpPrefetcher {
 }
 
 impl ImpPrefetcher {
-    /// Creates an IMP with the given configuration.
-    #[must_use]
-    pub fn new(cfg: ImpConfig) -> Self {
-        ImpPrefetcher {
-            cfg,
-            index_stride: StrideEntry::new(),
-            recent_values: VecDeque::with_capacity(33),
-            candidates: Vec::new(),
-            locked: None,
-            mismatches: 0,
-        }
-    }
-
     /// The learned mapping, if locked (exposed for tests and reporting).
     #[must_use]
     pub fn locked_mapping(&self) -> Option<(u64, u32)> {
@@ -110,7 +80,7 @@ impl ImpPrefetcher {
 
     fn learn(&mut self, miss_addr: Addr) {
         for &v in self.recent_values.iter().rev().take(2) {
-            for shift in 0..=self.cfg.max_shift {
+            for shift in 0..=MAX_SHIFT {
                 let scaled = u64::from(v) << shift;
                 let Some(base) = miss_addr.raw().checked_sub(scaled) else {
                     continue;
@@ -124,7 +94,7 @@ impl ImpPrefetcher {
                         return;
                     }
                 } else {
-                    if self.candidates.len() == self.cfg.candidates {
+                    if self.candidates.len() == CANDIDATES {
                         self.candidates.remove(0);
                     }
                     self.candidates.push(Candidate { mapping, hits: 1 });
@@ -145,7 +115,7 @@ impl ImpPrefetcher {
             self.mismatches = 0;
         } else {
             self.mismatches += 1;
-            if self.mismatches >= self.cfg.unlock_after {
+            if self.mismatches >= UNLOCK_AFTER {
                 self.locked = None;
                 self.candidates.clear();
                 self.mismatches = 0;
@@ -156,7 +126,13 @@ impl ImpPrefetcher {
 
 impl Default for ImpPrefetcher {
     fn default() -> Self {
-        ImpPrefetcher::new(ImpConfig::default())
+        ImpPrefetcher {
+            index_stride: StrideEntry::new(),
+            recent_values: VecDeque::with_capacity(33),
+            candidates: Vec::new(),
+            locked: None,
+            mismatches: 0,
+        }
     }
 }
 
@@ -181,17 +157,16 @@ impl Prefetcher for ImpPrefetcher {
                 }
                 // Stream part: keep the index array itself flowing.
                 if let Some(pred) = self.index_stride.predict(1) {
-                    for k in 0..self.cfg.stream_degree {
+                    for k in 0..STREAM_DEGREE {
                         mem.prefetch_line(pred.line().step(k), event.cycle, false);
                     }
                 }
-                // Indirect part: prefetch the target `distance` ahead, using
+                // Indirect part: prefetch the target `DISTANCE` ahead, using
                 // the ahead-value only if its line is already on chip.
                 if let Some(m) = self.locked {
                     let stride = self.index_stride.stride();
                     if stride > 0 {
-                        let ahead_addr =
-                            Addr::new(event.addr.raw() + self.cfg.distance * stride as u64);
+                        let ahead_addr = Addr::new(event.addr.raw() + DISTANCE * stride as u64);
                         if mem.npu_side_contains(ahead_addr.line()) {
                             let v = image.read_u32(ahead_addr);
                             let target = Addr::new(m.base + (u64::from(v) << m.shift));
@@ -248,8 +223,7 @@ mod tests {
     /// prefetches targets.
     #[test]
     fn locks_affine_mapping() {
-        let cfg = ImpConfig::default();
-        let mut p = ImpPrefetcher::new(cfg);
+        let mut p = ImpPrefetcher::default();
         let mut mem = MemorySystem::new(MemoryConfig::default());
         let mut image = MemoryImage::new();
         let ia_base = 0x100_0000u64;

@@ -13,27 +13,13 @@ use nvr_trace::{AccessEvent, MemoryImage, SnoopState};
 
 use crate::api::Prefetcher;
 
-/// Tuning knobs for [`StreamPrefetcher`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct StreamConfig {
-    /// Number of concurrently tracked streams.
-    pub streams: usize,
-    /// Lines prefetched ahead once a stream is confirmed.
-    pub degree: u64,
-    /// Maximum line distance between a miss and a tracked stream head for
-    /// the miss to extend that stream.
-    pub window: u64,
-}
-
-impl Default for StreamConfig {
-    fn default() -> Self {
-        StreamConfig {
-            streams: 16,
-            degree: 4,
-            window: 4,
-        }
-    }
-}
+/// Number of concurrently tracked streams.
+const STREAMS: usize = 16;
+/// Lines prefetched ahead once a stream is confirmed.
+const DEGREE: i64 = 4;
+/// Maximum line distance between a miss and a tracked stream head for the
+/// miss to extend that stream.
+const WINDOW: i64 = 4;
 
 #[derive(Debug, Clone, Copy)]
 struct StreamEntry {
@@ -57,24 +43,13 @@ struct StreamEntry {
 /// let p = StreamPrefetcher::default();
 /// assert_eq!(p.name(), "Stream");
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct StreamPrefetcher {
-    cfg: StreamConfig,
     entries: Vec<StreamEntry>,
     tick: u64,
 }
 
 impl StreamPrefetcher {
-    /// Creates a stream prefetcher with the given configuration.
-    #[must_use]
-    pub fn new(cfg: StreamConfig) -> Self {
-        StreamPrefetcher {
-            cfg,
-            entries: Vec::new(),
-            tick: 0,
-        }
-    }
-
     fn allocate(&mut self, line: LineAddr) {
         let entry = StreamEntry {
             head: line.step(1),
@@ -82,28 +57,21 @@ impl StreamPrefetcher {
             confidence: 0,
             last_use: self.tick,
         };
-        if self.entries.len() < self.cfg.streams {
+        if self.entries.len() < STREAMS {
             self.entries.push(entry);
         } else if let Some(victim) = self.entries.iter_mut().min_by_key(|e| e.last_use) {
             *victim = entry;
         }
     }
 
-    /// Finds a stream this line extends: the line lies within `window`
+    /// Finds a stream this line extends: the line lies within `WINDOW`
     /// lines of the head, in the stream's direction.
     fn matching_stream(&mut self, line: LineAddr) -> Option<&mut StreamEntry> {
-        let window = self.cfg.window;
         self.entries.iter_mut().find(|e| {
             let delta = line.index() as i64 - e.head.index() as i64;
             let along = delta * e.direction;
-            (0..=window as i64).contains(&along)
+            (0..=WINDOW).contains(&along)
         })
-    }
-}
-
-impl Default for StreamPrefetcher {
-    fn default() -> Self {
-        StreamPrefetcher::new(StreamConfig::default())
     }
 }
 
@@ -125,16 +93,15 @@ impl Prefetcher for StreamPrefetcher {
         self.tick += 1;
         let line = event.addr.line();
         let tick = self.tick;
-        let degree = self.cfg.degree;
         if let Some(e) = self.matching_stream(line) {
             e.confidence = e.confidence.saturating_add(1);
             e.last_use = tick;
             let direction = e.direction;
             e.head = LineAddr::new((line.index() as i64 + direction).max(0) as u64);
             if e.confidence >= 2 {
-                // Confirmed stream: prefetch `degree` lines past the miss.
+                // Confirmed stream: prefetch `DEGREE` lines past the miss.
                 let base = line.index() as i64;
-                for k in 1..=degree as i64 {
+                for k in 1..=DEGREE {
                     let idx = base + k * direction;
                     if idx >= 0 {
                         mem.prefetch_line(LineAddr::new(idx as u64), event.cycle, false);
@@ -245,15 +212,12 @@ mod tests {
 
     #[test]
     fn table_capacity_is_bounded() {
-        let mut p = StreamPrefetcher::new(StreamConfig {
-            streams: 4,
-            ..StreamConfig::default()
-        });
+        let mut p = StreamPrefetcher::default();
         let mut mem = MemorySystem::new(MemoryConfig::default());
         let s = snoop();
         for i in 0..100 {
             p.observe(&miss_at(i * 1_000_000), &s, &MemoryImage::new(), &mut mem);
         }
-        assert!(p.entries.len() <= 4);
+        assert!(p.entries.len() <= STREAMS);
     }
 }
