@@ -57,8 +57,6 @@ pub struct LifetimeTracker {
     recent: VecDeque<Outcome>,
     /// Wasted (evicted-unused) entries currently in `recent`.
     recent_wasted: usize,
-    /// Late entries currently in `recent`.
-    recent_late: usize,
     /// Capacity of the rolling window.
     window: usize,
     /// Reusable drain buffer, exchanged with the memory system's event log
@@ -88,7 +86,6 @@ impl LifetimeTracker {
             report: TimelinessReport::default(),
             recent: VecDeque::with_capacity(window.max(1)),
             recent_wasted: 0,
-            recent_late: 0,
             window: window.max(1),
             scratch: Vec::new(),
         }
@@ -140,18 +137,12 @@ impl LifetimeTracker {
     }
 
     fn push_outcome(&mut self, outcome: Outcome) {
-        if self.recent.len() == self.window {
-            match self.recent.pop_front() {
-                Some(Outcome::Wasted) => self.recent_wasted -= 1,
-                Some(Outcome::Late) => self.recent_late -= 1,
-                _ => {}
-            }
+        if self.recent.len() == self.window && self.recent.pop_front() == Some(Outcome::Wasted) {
+            self.recent_wasted -= 1;
         }
         self.recent.push_back(outcome);
-        match outcome {
-            Outcome::Wasted => self.recent_wasted += 1,
-            Outcome::Late => self.recent_late += 1,
-            Outcome::Timely => {}
+        if outcome == Outcome::Wasted {
+            self.recent_wasted += 1;
         }
     }
 
@@ -163,19 +154,6 @@ impl LifetimeTracker {
             0.0
         } else {
             self.recent_wasted as f64 / self.recent.len() as f64
-        }
-    }
-
-    /// Fraction of the rolling window's resolved prefetches whose first
-    /// demand arrived mid-fill (late); 0 until anything resolves. A high
-    /// late ratio means the prefetch stream is correct but not early
-    /// enough — the signal that deeper lookahead would pay.
-    #[must_use]
-    pub fn rolling_late_ratio(&self) -> f64 {
-        if self.recent.is_empty() {
-            0.0
-        } else {
-            self.recent_late as f64 / self.recent.len() as f64
         }
     }
 

@@ -191,29 +191,20 @@ impl Cache {
     }
 
     /// Starts recording [`PrefetchLifeEvent`]s. Idempotent; events
-    /// accumulate until drained with [`Cache::take_life_events`] or
-    /// [`Cache::swap_life_events`], so only consumers that drain regularly
-    /// (e.g. a runahead controller's `advance` loop) should enable it.
+    /// accumulate until drained with [`Cache::swap_life_events`], so only
+    /// consumers that drain regularly (e.g. a runahead controller's
+    /// `advance` loop) should enable it.
     pub fn enable_life_log(&mut self) {
         if self.life_log.is_none() {
             self.life_log = Some(Vec::new());
         }
     }
 
-    /// Drains the recorded lifetime events, in occurrence order. Returns
-    /// an empty vec when the log was never enabled.
-    pub fn take_life_events(&mut self) -> Vec<PrefetchLifeEvent> {
-        match &mut self.life_log {
-            Some(log) => std::mem::take(log),
-            None => Vec::new(),
-        }
-    }
-
-    /// Exchanges the recorded lifetime events with `buf` (which the caller
-    /// keeps cleared between drains), so a steady-state drain cycle reuses
-    /// two allocations forever instead of allocating a fresh log per drain
-    /// the way [`Cache::take_life_events`] does. No-op when the log was
-    /// never enabled.
+    /// Exchanges the recorded lifetime events, in occurrence order, with
+    /// `buf` (which the caller keeps cleared between drains), so a
+    /// steady-state drain cycle reuses two allocations forever instead of
+    /// allocating a fresh log per drain. No-op when the log was never
+    /// enabled.
     pub fn swap_life_events(&mut self, buf: &mut Vec<PrefetchLifeEvent>) {
         if let Some(log) = &mut self.life_log {
             std::mem::swap(log, buf);

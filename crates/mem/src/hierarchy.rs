@@ -117,12 +117,6 @@ impl MemorySystem {
         &self.cfg
     }
 
-    /// Whether an NSB level is present.
-    #[must_use]
-    pub fn has_nsb(&self) -> bool {
-        self.nsb.is_some()
-    }
-
     /// Direct access to the DRAM backend (for utilisation queries).
     #[must_use]
     pub fn dram(&self) -> &DramBackend {
@@ -144,12 +138,6 @@ impl MemorySystem {
     #[must_use]
     pub fn channel_of(&self, line: LineAddr) -> usize {
         self.dram.channel_of(line)
-    }
-
-    /// Number of independent DRAM channels.
-    #[must_use]
-    pub fn channel_count(&self) -> usize {
-        self.cfg.dram.channels
     }
 
     /// A demand load of one cache line at cycle `now`.
@@ -408,21 +396,15 @@ impl MemorySystem {
     /// NVR fills): issue, fill, first demand use, and unused eviction. Off
     /// by default — non-runahead prefetchers never pay for it. Idempotent;
     /// the consumer must drain with
-    /// [`MemorySystem::take_prefetch_life_events`] regularly or the log
+    /// [`MemorySystem::swap_prefetch_life_events`] regularly or the log
     /// grows for the rest of the run.
     pub fn enable_prefetch_life_log(&mut self) {
         self.l2.enable_life_log();
     }
 
-    /// Drains the L2's recorded [`crate::cache::PrefetchLifeEvent`]s in
-    /// occurrence order. Empty when the log was never enabled.
-    pub fn take_prefetch_life_events(&mut self) -> Vec<crate::cache::PrefetchLifeEvent> {
-        self.l2.take_life_events()
-    }
-
-    /// Exchanges the L2's recorded lifetime events with the caller's
-    /// (cleared) buffer — the allocation-free form of
-    /// [`MemorySystem::take_prefetch_life_events`] for per-advance drains.
+    /// Exchanges the L2's recorded lifetime events, in occurrence order,
+    /// with the caller's (cleared) buffer. The buffer is left untouched
+    /// when the log was never enabled.
     pub fn swap_prefetch_life_events(&mut self, buf: &mut Vec<crate::cache::PrefetchLifeEvent>) {
         self.l2.swap_life_events(buf);
     }

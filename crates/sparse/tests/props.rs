@@ -1,57 +1,11 @@
-//! Property-based tests of the sparse-format substrate.
+//! Property-based tests of the voxel hash table.
 
 use proptest::prelude::*;
 
 use nvr_common::Pcg32;
-use nvr_sparse::gen::{random_csr, SparsityPattern};
-use nvr_sparse::{top_k_indices, BitmapMatrix, DenseMatrix, VoxelHashTable, VoxelKey};
+use nvr_sparse::{VoxelHashTable, VoxelKey};
 
 proptest! {
-    /// CSR -> CSC -> CSR is identity on the dense rendering.
-    #[test]
-    fn csr_csc_roundtrip(seed in any::<u64>(), rows in 1usize..40, cols in 1usize..40) {
-        let mut rng = Pcg32::seed_from_u64(seed);
-        let m = random_csr(rows, cols, 0.2, SparsityPattern::Uniform, &mut rng);
-        let back = m.to_csc().to_csr();
-        prop_assert_eq!(m.to_dense(), back.to_dense());
-    }
-
-    /// Bitmap encoding is lossless.
-    #[test]
-    fn bitmap_roundtrip(seed in any::<u64>(), rows in 1usize..20, cols in 1usize..130) {
-        let mut rng = Pcg32::seed_from_u64(seed);
-        let m = random_csr(rows, cols, 0.15, SparsityPattern::Uniform, &mut rng);
-        let bm = BitmapMatrix::from_csr(&m);
-        prop_assert_eq!(bm.nnz(), m.nnz());
-        prop_assert_eq!(bm.to_csr().to_dense(), m.to_dense());
-    }
-
-    /// SpMM distributes over identity: W * I == dense(W).
-    #[test]
-    fn spmm_identity(seed in any::<u64>(), n in 1usize..24) {
-        let mut rng = Pcg32::seed_from_u64(seed);
-        let w = random_csr(n, n, 0.3, SparsityPattern::Uniform, &mut rng);
-        let mut eye = DenseMatrix::zeros(n, n);
-        for i in 0..n {
-            *eye.get_mut(i, i) = 1.0;
-        }
-        let out = w.spmm(&eye);
-        prop_assert!(out.max_abs_diff(&w.to_dense()) < 1e-5);
-    }
-
-    /// top_k agrees with a full sort for arbitrary inputs.
-    #[test]
-    fn topk_matches_sort(scores in prop::collection::vec(0.0f32..1.0, 1..200), frac in 0usize..=100) {
-        let k = scores.len() * frac / 100;
-        let got = top_k_indices(&scores, k);
-        let mut want: Vec<u32> = (0..scores.len() as u32).collect();
-        want.sort_by(|&a, &b| {
-            scores[b as usize].partial_cmp(&scores[a as usize]).unwrap().then(a.cmp(&b))
-        });
-        want.truncate(k);
-        prop_assert_eq!(got, want);
-    }
-
     /// Voxel tables resolve every inserted key to its slot, and miss keys
     /// that were never inserted.
     #[test]
@@ -68,27 +22,22 @@ proptest! {
         prop_assert_eq!(table.lookup(VoxelKey::new(1 << 20, 0, 0)), None);
     }
 
-    /// Generated CSR matrices always have sorted, in-range, deduplicated rows.
+    /// Generated voxel tables hold exactly `n` distinct keys, all inside the
+    /// cube of side `extent`, in a table of at least `2n` buckets.
     #[test]
-    fn generator_invariants(
-        seed in any::<u64>(),
-        rows in 1usize..30,
-        cols in 8usize..200,
-        pat in 0usize..4,
-    ) {
-        let pattern = match pat {
-            0 => SparsityPattern::Uniform,
-            1 => SparsityPattern::Block { block: 4 },
-            2 => SparsityPattern::Banded { half_width: 8 },
-            _ => SparsityPattern::PowerLaw { exponent: 1.1 },
-        };
+    fn generator_invariants(seed in any::<u64>(), n in 1usize..120, extent in 8u32..64) {
         let mut rng = Pcg32::seed_from_u64(seed);
-        let m = random_csr(rows, cols, 0.1, pattern, &mut rng);
-        for r in 0..m.rows() {
-            let row = m.row(r);
-            prop_assert!(row.windows(2).all(|w| w[0] < w[1]));
-            prop_assert!(row.iter().all(|&c| (c as usize) < cols));
+        let (table, keys) = VoxelHashTable::random(n, extent, 0, &mut rng);
+        prop_assert_eq!(keys.len(), n);
+        prop_assert_eq!(table.len(), n);
+        prop_assert!(table.bucket_count() >= 2 * n);
+        let mut sorted = keys.clone();
+        sorted.sort_unstable();
+        sorted.dedup();
+        prop_assert_eq!(sorted.len(), n);
+        let side = extent as i32;
+        for k in keys {
+            prop_assert!([k.x, k.y, k.z].iter().all(|&c| (0..side).contains(&c)));
         }
-        prop_assert!(m.values().iter().all(|&v| v != 0.0));
     }
 }

@@ -50,17 +50,10 @@ impl Graph {
         let n_edges = (nodes as f64 * avg_degree) as usize;
 
         let mut adj: Vec<Vec<u32>> = vec![Vec::new(); nodes];
-        // Duplicate detection: a dense src×dst bit matrix when it fits
-        // (the GNN graphs are ≤8192 nodes, so ≤8 MB transient) makes the
-        // membership test O(1) and placement a plain push; larger graphs
-        // fall back to sorted lists with binary-search insertion. Both
-        // paths give identical membership answers, so the rng sequence,
-        // placed count, and final CSR are unchanged either way.
-        let mut bits = if nodes <= 8192 {
-            vec![0u64; (nodes * nodes).div_ceil(64)]
-        } else {
-            Vec::new()
-        };
+        // Duplicate detection: a dense src×dst bit matrix makes the
+        // membership test O(1) and placement a plain push. It costs
+        // nodes²/8 transient bytes (8 MB for GCN's 8192 nodes).
+        let mut bits = vec![0u64; (nodes * nodes).div_ceil(64)];
         let mut placed = 0usize;
         let mut guard = 0usize;
         while placed < n_edges && guard < n_edges * 8 {
@@ -93,29 +86,18 @@ impl Graph {
             }
             let (src, dst) = (lo_r, lo_c);
             if src < nodes && dst < nodes && src != dst {
-                if bits.is_empty() {
-                    let list = &mut adj[src];
-                    if let Err(pos) = list.binary_search(&(dst as u32)) {
-                        list.insert(pos, dst as u32);
-                        placed += 1;
-                    }
-                } else {
-                    let bit = src * nodes + dst;
-                    let mask = 1u64 << (bit % 64);
-                    if bits[bit / 64] & mask == 0 {
-                        bits[bit / 64] |= mask;
-                        adj[src].push(dst as u32);
-                        placed += 1;
-                    }
+                let bit = src * nodes + dst;
+                let mask = 1u64 << (bit % 64);
+                if bits[bit / 64] & mask == 0 {
+                    bits[bit / 64] |= mask;
+                    adj[src].push(dst as u32);
+                    placed += 1;
                 }
             }
         }
-        if !bits.is_empty() {
-            // Bitset placement appends in sample order; restore the sorted
-            // adjacency the binary-search path builds directly.
-            for list in &mut adj {
-                list.sort_unstable();
-            }
+        // Placement appends in sample order; sort each adjacency list.
+        for list in &mut adj {
+            list.sort_unstable();
         }
         // Ensure no isolated nodes: give each a self-adjacent ring edge.
         for (i, list) in adj.iter_mut().enumerate() {

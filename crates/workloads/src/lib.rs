@@ -46,7 +46,6 @@ pub mod minkowski;
 pub mod scn;
 pub mod spec;
 pub mod switch_transformer;
-pub mod two_sided;
 
 pub use graph::Graph;
 pub use minkowski::{PointcloudParams, VoxelOrder};

@@ -154,8 +154,7 @@ fn parallel_sweep_matches_serial_bit_for_bit() {
     assert_eq!(serial.to_csv(), parallel.to_csv());
 }
 
-/// Pinned result fingerprints for every system on one graph workload and
-/// one attention workload.
+/// Pinned result fingerprints for every system on every workload.
 ///
 /// The simulator's hot paths are data-layout- and scheduling-optimised
 /// (SoA cache metadata, sorted MSHR files, event-driven issue skipping,
@@ -174,6 +173,84 @@ fn optimised_hot_paths_match_seed_fingerprints() {
     // l2_prefetch_issued, l2_prefetch_useful, timely, late,
     // evicted_unused, slack_sum.
     const GOLDEN: &[(&str, &str, [u64; 11])] = &[
+        (
+            "DS",
+            "InO",
+            [122560, 22368, 4584, 3864, 4584, 0, 0, 0, 0, 0, 0],
+        ),
+        (
+            "DS",
+            "OoO",
+            [73344, 16438, 4584, 3864, 4584, 0, 0, 0, 0, 0, 0],
+        ),
+        (
+            "DS",
+            "Stream",
+            [121112, 22368, 4411, 4003, 4411, 177, 173, 0, 0, 0, 0],
+        ),
+        (
+            "DS",
+            "IMP",
+            [116536, 22368, 3796, 4640, 3796, 828, 796, 0, 0, 0, 0],
+        ),
+        (
+            "DS",
+            "DVR",
+            [99936, 22368, 3856, 4592, 3856, 809, 728, 0, 0, 0, 0],
+        ),
+        (
+            "DS",
+            "NVR",
+            [
+                45064, 22368, 96, 6055, 96, 4501, 4492, 2195, 2297, 0, 2606617,
+            ],
+        ),
+        (
+            "DS",
+            "NVR+NSB",
+            [
+                45711, 17184, 95, 730, 95, 4531, 1098, 1960, 2562, 0, 2310763,
+            ],
+        ),
+        (
+            "GAT",
+            "InO",
+            [139764, 28356, 1997, 3494, 1997, 0, 0, 0, 0, 0, 0],
+        ),
+        (
+            "GAT",
+            "OoO",
+            [71476, 20578, 1997, 3492, 1997, 0, 0, 0, 0, 0, 0],
+        ),
+        (
+            "GAT",
+            "Stream",
+            [130428, 28356, 1360, 3826, 1360, 868, 639, 0, 0, 0, 0],
+        ),
+        (
+            "GAT",
+            "IMP",
+            [122320, 28356, 1595, 3838, 1595, 796, 410, 0, 0, 0, 0],
+        ),
+        (
+            "GAT",
+            "DVR",
+            [97212, 28356, 1076, 4406, 1076, 979, 922, 0, 0, 0, 0],
+        ),
+        (
+            "GAT",
+            "NVR",
+            [
+                47899, 28356, 43, 4935, 43, 2143, 1977, 1464, 513, 3, 4480805,
+            ],
+        ),
+        (
+            "GAT",
+            "NVR+NSB",
+            [
+                47482, 21636, 38, 2458, 38, 2089, 1107, 1423, 551, 4, 4294872,
+            ],
+        ),
         (
             "GCN",
             "InO",
@@ -214,6 +291,45 @@ fn optimised_hot_paths_match_seed_fingerprints() {
             ],
         ),
         (
+            "GSABT",
+            "InO",
+            [200056, 38008, 7426, 7094, 7426, 0, 0, 0, 0, 0, 0],
+        ),
+        (
+            "GSABT",
+            "OoO",
+            [139699, 28288, 7426, 7094, 7426, 0, 0, 0, 0, 0, 0],
+        ),
+        (
+            "GSABT",
+            "Stream",
+            [199936, 38008, 2465, 7241, 2465, 5024, 4974, 0, 0, 0, 0],
+        ),
+        (
+            "GSABT",
+            "IMP",
+            [194920, 38008, 6714, 7742, 6714, 884, 732, 0, 0, 0, 0],
+        ),
+        (
+            "GSABT",
+            "DVR",
+            [194773, 38008, 7045, 7475, 7045, 514, 382, 0, 0, 0, 0],
+        ),
+        (
+            "GSABT",
+            "NVR",
+            [
+                105846, 38008, 214, 10671, 214, 7268, 7256, 3621, 3635, 0, 7317234,
+            ],
+        ),
+        (
+            "GSABT",
+            "NVR+NSB",
+            [
+                107136, 32256, 193, 3440, 193, 7375, 3014, 3329, 4034, 0, 6863410,
+            ],
+        ),
+        (
             "H2O",
             "InO",
             [71816, 16928, 2168, 4168, 2168, 0, 0, 0, 0, 0, 0],
@@ -250,9 +366,108 @@ fn optimised_hot_paths_match_seed_fingerprints() {
             "NVR+NSB",
             [25241, 12896, 40, 253, 40, 2135, 281, 1454, 674, 0, 1630986],
         ),
+        ("MK", "InO", [42038, 3009, 880, 79, 880, 0, 0, 0, 0, 0, 0]),
+        ("MK", "OoO", [40838, 964, 880, 79, 880, 0, 0, 0, 0, 0, 0]),
+        (
+            "MK",
+            "Stream",
+            [42038, 3009, 880, 79, 880, 0, 0, 0, 0, 0, 0],
+        ),
+        (
+            "MK",
+            "IMP",
+            [33722, 3009, 853, 106, 853, 30, 27, 0, 0, 0, 0],
+        ),
+        (
+            "MK",
+            "DVR",
+            [40165, 3009, 748, 183, 748, 135, 132, 0, 0, 0, 0],
+        ),
+        (
+            "MK",
+            "NVR",
+            [20607, 3009, 398, 559, 398, 562, 482, 480, 2, 0, 3254304],
+        ),
+        (
+            "MK",
+            "NVR+NSB",
+            [20635, 1414, 402, 200, 402, 558, 156, 476, 2, 0, 3187922],
+        ),
+        (
+            "SCN",
+            "InO",
+            [81816, 9501, 990, 2657, 990, 0, 0, 0, 0, 0, 0],
+        ),
+        (
+            "SCN",
+            "OoO",
+            [65539, 5086, 990, 2558, 990, 0, 0, 0, 0, 0, 0],
+        ),
+        (
+            "SCN",
+            "Stream",
+            [78180, 9501, 958, 2689, 958, 38, 32, 0, 0, 0, 0],
+        ),
+        (
+            "SCN",
+            "IMP",
+            [72704, 9501, 916, 2731, 916, 106, 74, 0, 0, 0, 0],
+        ),
+        (
+            "SCN",
+            "DVR",
+            [71673, 9501, 751, 2873, 751, 242, 239, 0, 0, 0, 0],
+        ),
+        (
+            "SCN",
+            "NVR",
+            [28065, 9501, 92, 3697, 92, 1014, 898, 881, 17, 0, 2159745],
+        ),
+        (
+            "SCN",
+            "NVR+NSB",
+            [27920, 6048, 91, 989, 91, 1032, 436, 867, 32, 0, 2049059],
+        ),
+        (
+            "ST",
+            "InO",
+            [81280, 10080, 2304, 2048, 2304, 0, 0, 0, 0, 0, 0],
+        ),
+        (
+            "ST",
+            "OoO",
+            [45552, 4150, 2304, 2048, 2304, 0, 0, 0, 0, 0, 0],
+        ),
+        (
+            "ST",
+            "Stream",
+            [78312, 10080, 575, 2190, 575, 1758, 1729, 0, 0, 0, 0],
+        ),
+        (
+            "ST",
+            "IMP",
+            [73800, 10080, 1826, 2368, 1826, 510, 478, 0, 0, 0, 0],
+        ),
+        (
+            "ST",
+            "DVR",
+            [67856, 10080, 1728, 2594, 1728, 576, 576, 0, 0, 0, 0],
+        ),
+        (
+            "ST",
+            "NVR",
+            [
+                33305, 10080, 30, 2862, 30, 2283, 2274, 814, 1460, 0, 1951613,
+            ],
+        ),
+        (
+            "ST",
+            "NVR+NSB",
+            [34101, 5120, 24, 793, 24, 2289, 773, 726, 1554, 0, 1863770],
+        ),
     ];
     let mut idx = 0;
-    for workload in [WorkloadId::Gcn, WorkloadId::H2o] {
+    for workload in WorkloadId::ALL {
         let spec = WorkloadSpec {
             width: DataWidth::Fp16,
             seed: 777,
