@@ -66,6 +66,51 @@ pub fn div_ceil(n: u64, d: u64) -> u64 {
     n.div_ceil(d)
 }
 
+/// Declares a registry enum and its `ALL` table from one variant list, so
+/// no variant can be missing from `ALL`: sweeps, name lookups and figure
+/// fan-out all iterate it. Attributes and doc comments pass through to
+/// the enum, its variants and the table.
+///
+/// # Examples
+///
+/// ```
+/// nvr_common::registry! {
+///     /// A toy registry.
+///     #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+///     pub enum Colour {
+///         /// Red.
+///         Red,
+///         /// Blue.
+///         Blue,
+///     }
+///     /// Every colour, in declaration order.
+///     const ALL;
+/// }
+///
+/// assert_eq!(Colour::ALL, [Colour::Red, Colour::Blue]);
+/// ```
+#[macro_export]
+macro_rules! registry {
+    (
+        $(#[$meta:meta])*
+        $vis:vis enum $name:ident {
+            $($(#[$variant_meta:meta])* $variant:ident,)+
+        }
+        $(#[$all_meta:meta])*
+        const ALL;
+    ) => {
+        $(#[$meta])*
+        $vis enum $name {
+            $($(#[$variant_meta])* $variant,)+
+        }
+
+        impl $name {
+            $(#[$all_meta])*
+            pub const ALL: [$name; [$(stringify!($variant)),+].len()] = [$($name::$variant),+];
+        }
+    };
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

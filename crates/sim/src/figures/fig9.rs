@@ -449,6 +449,10 @@ mod tests {
         let csv = policy_csv(&cells);
         assert!(csv.starts_with("workload,order,nsb_kb,policy,admit,cycles,speedup\n"));
         assert_eq!(csv.lines().count(), cells.len() + 1);
+        let columns = csv.lines().next().expect("header").split(',').count();
+        for row in csv.lines() {
+            assert_eq!(row.split(',').count(), columns, "row `{row}`");
+        }
     }
 
     #[test]

@@ -615,13 +615,25 @@ mod tests {
             systems: vec![SystemKind::InOrder],
             ..tiny_spec()
         };
-        let a = run_sweep(&spec, 1).to_csv();
+        let serial = run_sweep(&spec, 1);
+        let a = serial.to_csv();
         let b = run_sweep(&spec, 4).to_csv();
         assert_eq!(a, b, "jobs=1 and jobs=4 CSVs must be identical");
         assert!(a.starts_with("workload,system,scale,order,width,seed,cycles"));
         let header = a.lines().next().expect("header");
         for col in ["ch_util_mean", "pf_qd_p50", "speedup_ci95", "channels"] {
             assert!(header.contains(col), "missing CSV column {col}");
+        }
+        // Header and rows agree on the column count (the timing CSV's
+        // first line is a `#` comment).
+        let timing = serial.timing_csv();
+        let (_, timing) = timing.split_once('\n').expect("comment line");
+        for csv in [a.as_str(), timing] {
+            let mut lines = csv.lines();
+            let columns = lines.next().expect("header").split(',').count();
+            for row in lines {
+                assert_eq!(row.split(',').count(), columns, "row `{row}`");
+            }
         }
     }
 

@@ -53,40 +53,33 @@ pub use spec::{Scale, TileOrder, WorkloadSpec};
 
 use nvr_trace::NpuProgram;
 
-/// Identifier of one evaluated workload.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum WorkloadId {
-    /// Double Sparsity (LLM sparse attention).
-    Ds,
-    /// Graph Attention Networks.
-    Gat,
-    /// Graph Convolutional Networks.
-    Gcn,
-    /// Graph Sparse Attention (block + global).
-    Gsabt,
-    /// Heavy-Hitter Oracle.
-    H2o,
-    /// MinkowskiNet (point cloud).
-    Mk,
-    /// SparseConvNet (point cloud).
-    Scn,
-    /// Switch Transformer (mixture of experts).
-    St,
+nvr_common::registry! {
+    /// Identifier of one evaluated workload.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+    pub enum WorkloadId {
+        /// Double Sparsity (LLM sparse attention).
+        Ds,
+        /// Graph Attention Networks.
+        Gat,
+        /// Graph Convolutional Networks.
+        Gcn,
+        /// Graph Sparse Attention (block + global).
+        Gsabt,
+        /// Heavy-Hitter Oracle.
+        H2o,
+        /// MinkowskiNet (point cloud).
+        Mk,
+        /// SparseConvNet (point cloud).
+        Scn,
+        /// Switch Transformer (mixture of experts).
+        St,
+    }
+
+    /// All workloads in the paper's reporting order.
+    const ALL;
 }
 
 impl WorkloadId {
-    /// All workloads in the paper's reporting order.
-    pub const ALL: [WorkloadId; 8] = [
-        WorkloadId::Ds,
-        WorkloadId::Gat,
-        WorkloadId::Gcn,
-        WorkloadId::Gsabt,
-        WorkloadId::H2o,
-        WorkloadId::Mk,
-        WorkloadId::Scn,
-        WorkloadId::St,
-    ];
-
     /// The paper's short name.
     #[must_use]
     pub fn short(self) -> &'static str {

@@ -10,6 +10,10 @@
 //!    speculative fill with remaining score that has not yet seen its
 //!    demand) — the runahead thread only resolves targets inside the
 //!    lookahead horizon, so such a line's demand is imminent.
+//!
+//! A fourth, differential property checks the structure-of-arrays
+//! `Cache` under [`RetentionPolicy::Lru`] against a deliberately naive
+//! reference that keeps one recency-ordered list per set.
 
 use std::collections::BTreeSet;
 
@@ -17,7 +21,7 @@ use proptest::prelude::*;
 use proptest::TestRng;
 
 use nvr::core::{nsb_config, nsb_scored};
-use nvr::mem::{Cache, ProbeResult};
+use nvr::mem::{Cache, ProbeResult, RetentionPolicy};
 use nvr::prelude::*;
 
 /// One step of a randomly generated NSB op sequence.
@@ -202,6 +206,180 @@ proptest! {
                         active.remove(&line);
                         demanded.insert(line);
                     }
+                }
+            }
+        }
+    }
+}
+
+/// One step of a random stream for the differential LRU test.
+#[derive(Debug, Clone, Copy)]
+enum CacheOp {
+    /// A fill whose data arrives `delay` cycles after it is installed.
+    Install {
+        line: u64,
+        delay: Cycle,
+        prefetch: bool,
+    },
+    /// A lookup.
+    Probe { line: u64, demand: bool },
+}
+
+/// Random install/probe streams over a small line universe.
+struct CacheOps;
+
+impl Strategy for CacheOps {
+    type Value = Vec<CacheOp>;
+
+    fn generate(&self, rng: &mut TestRng) -> Vec<CacheOp> {
+        let len = 1 + rng.below(300) as usize;
+        (0..len)
+            .map(|_| {
+                let line = rng.below(REF_UNIVERSE);
+                let coin = rng.next_u64();
+                if coin & 1 == 0 {
+                    let delay = rng.below(12);
+                    CacheOp::Install {
+                        line,
+                        delay,
+                        prefetch: coin & 2 != 0,
+                    }
+                } else {
+                    CacheOp::Probe {
+                        line,
+                        demand: coin & 2 != 0,
+                    }
+                }
+            })
+            .collect()
+    }
+}
+
+/// Lines the differential test touches: more than the 12 or 16 lines
+/// the test caches hold, so evictions are frequent.
+const REF_UNIVERSE: u64 = 24;
+const REF_WAYS: u64 = 4;
+
+/// A resident line of the reference cache.
+#[derive(Debug, Clone, Copy)]
+struct RefLine {
+    line: u64,
+    fill_done: Cycle,
+    prefetch: bool,
+}
+
+/// A deliberately naive LRU cache: one list per set, least recently
+/// used first. Every access moves its line to the back; a fill into a
+/// full set evicts the front-most line whose data has arrived, or the
+/// front line when every fill is still outstanding.
+struct RefLru {
+    sets: Vec<Vec<RefLine>>,
+    ways: usize,
+    hit_latency: Cycle,
+}
+
+impl RefLru {
+    fn new(cfg: &CacheConfig) -> Self {
+        let sets = cfg.size_bytes / 64 / cfg.ways;
+        RefLru {
+            sets: vec![Vec::new(); sets as usize],
+            ways: cfg.ways as usize,
+            hit_latency: cfg.hit_latency,
+        }
+    }
+
+    fn set(&mut self, line: u64) -> &mut Vec<RefLine> {
+        let n = self.sets.len() as u64;
+        &mut self.sets[(line % n) as usize]
+    }
+
+    fn contains(&self, line: u64) -> bool {
+        self.sets.iter().flatten().any(|l| l.line == line)
+    }
+
+    /// Moves `line` to the most recently used end of its set.
+    fn touch(&mut self, line: u64) -> Option<&mut RefLine> {
+        let set = self.set(line);
+        let at = set.iter().position(|l| l.line == line)?;
+        let entry = set.remove(at);
+        set.push(entry);
+        set.last_mut()
+    }
+
+    fn probe(&mut self, line: u64, now: Cycle) -> ProbeResult {
+        let hit_latency = self.hit_latency;
+        match self.touch(line) {
+            None => ProbeResult::Miss,
+            Some(l) if l.fill_done <= now => ProbeResult::Hit {
+                ready_at: now + hit_latency,
+            },
+            Some(l) => ProbeResult::InFlight {
+                ready_at: l.fill_done.max(now + hit_latency),
+                fill_was_prefetch: l.prefetch,
+            },
+        }
+    }
+
+    fn install(&mut self, line: u64, fill_done: Cycle, prefetch: bool, now: Cycle) {
+        if let Some(l) = self.touch(line) {
+            l.fill_done = l.fill_done.min(fill_done);
+            return;
+        }
+        let ways = self.ways;
+        let set = self.set(line);
+        if set.len() == ways {
+            let victim = set.iter().position(|l| l.fill_done <= now).unwrap_or(0);
+            set.remove(victim);
+        }
+        set.push(RefLine {
+            line,
+            fill_done,
+            prefetch,
+        });
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Property 4: on any install/probe stream, the LRU `Cache` and the
+    /// naive reference return the same probe outcome and hold the same
+    /// lines after every op, on a power-of-two set count (4) and on one
+    /// that takes the division path (3). Time advances every op, so
+    /// recency has no ties.
+    #[test]
+    fn lru_cache_matches_naive_reference(ops in CacheOps) {
+        for sets in [3, 4] {
+            let cfg = CacheConfig {
+                name: "ref",
+                size_bytes: sets * REF_WAYS * 64,
+                ways: REF_WAYS,
+                hit_latency: 3,
+                mshr_entries: 8,
+                policy: RetentionPolicy::Lru,
+            };
+            let mut cache = Cache::new(cfg.clone());
+            let mut reference = RefLru::new(&cfg);
+            for (i, op) in ops.iter().enumerate() {
+                let now = 2 * i as Cycle;
+                match *op {
+                    CacheOp::Install { line, delay, prefetch } => {
+                        cache.install(LineAddr::new(line), now + delay, prefetch, now);
+                        reference.install(line, now + delay, prefetch, now);
+                    }
+                    CacheOp::Probe { line, demand } => {
+                        let got = cache.probe(LineAddr::new(line), now, demand);
+                        let want = reference.probe(line, now);
+                        prop_assert_eq!(got, want, "op {} ({:?}), {} sets", i, op, sets);
+                    }
+                }
+                for line in 0..REF_UNIVERSE {
+                    prop_assert_eq!(
+                        cache.contains(LineAddr::new(line)),
+                        reference.contains(line),
+                        "line {} after op {} ({:?}), {} sets",
+                        line, i, op, sets
+                    );
                 }
             }
         }
