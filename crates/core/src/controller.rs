@@ -141,6 +141,12 @@ impl Runahead {
         }
     }
 
+    /// Whether the window is resolving (its targets are flowing into the
+    /// VIGU).
+    fn is_resolving(&self) -> bool {
+        matches!(self.phase, Phase::Resolve { .. })
+    }
+
     /// The cycle this window is waiting for, if it is blocked on a fill.
     fn blocked_until(&self) -> Option<Cycle> {
         match self.phase {
@@ -189,6 +195,10 @@ pub struct NvrPrefetcher {
     /// In-flight speculative windows, oldest first (the lookahead
     /// pipeline). Capacity is the throttled effective depth.
     windows: VecDeque<Runahead>,
+    /// How many of `windows` are in `Phase::Resolve`, kept up to date at
+    /// every phase change so the per-cycle "is resolution flowing?" test
+    /// is a compare rather than a scan.
+    resolving: usize,
     /// Whether the memory system's prefetch lifetime log has been enabled.
     life_log_on: bool,
     current_tile: usize,
@@ -237,6 +247,7 @@ impl NvrPrefetcher {
             reuse: ReusePredictor::new(),
             clock: 0,
             windows: VecDeque::with_capacity(cfg.lookahead_tiles),
+            resolving: 0,
             life_log_on: false,
             current_tile: 0,
             miss_seen_in_tile: false,
@@ -309,6 +320,27 @@ impl NvrPrefetcher {
             nvr_common::div_ceil(e.row_bytes, nvr_common::LINE_BYTES).max(1)
         });
         (self.cfg.lookahead_lines as u64 / row_lines).max(self.cfg.vector_width as u64)
+    }
+
+    /// Whether the VIGU backlog is too deep to open another window:
+    /// resolved lines the memory system has not accepted yet mean the
+    /// prefetch stream is already ahead of the channel, and opening deeper
+    /// windows would only queue speculative traffic in front of demand
+    /// fetches on the shared DRAM channel.
+    fn backlog_gate_closed(&self) -> bool {
+        self.vmig.pending() >= 2 * VMIG_BATCH_LINES
+    }
+
+    /// Drops the windows `keep` rejects, keeping `resolving` in step.
+    fn retain_windows(&mut self, mut keep: impl FnMut(&Runahead) -> bool) {
+        let resolving = &mut self.resolving;
+        self.windows.retain(|st| {
+            let kept = keep(st);
+            if !kept && st.is_resolving() {
+                *resolving -= 1;
+            }
+            kept
+        });
     }
 
     /// Opens the next speculative window at the coverage cursor — issuing
@@ -463,17 +495,15 @@ impl NvrPrefetcher {
         image: &MemoryImage,
         mem: &mut MemorySystem,
     ) -> StepOutcome {
-        self.windows.retain(|st| match &st.phase {
+        self.retain_windows(|st| match &st.phase {
             Phase::Resolve { window, next_elem } => *next_elem < window.end,
             Phase::FetchIndex { .. } | Phase::ProbeWait { .. } => true,
         });
-        // Open the next window only while the VIGU backlog is shallow:
-        // resolved lines the memory system has not accepted yet mean the
-        // prefetch stream is already ahead of the channel, and opening
-        // deeper windows would only queue speculative traffic in front of
-        // demand fetches on the shared DRAM channel.
-        let backlog_ok = self.vmig.pending() < 2 * VMIG_BATCH_LINES;
-        if backlog_ok && self.windows.len() < self.effective_depth() && self.try_start(snoop, mem) {
+        // Open the next window only while the VIGU backlog is shallow.
+        if !self.backlog_gate_closed()
+            && self.windows.len() < self.effective_depth()
+            && self.try_start(snoop, mem)
+        {
             return StepOutcome::Worked;
         }
         let resolve_limit = snoop.elem_consumed.saturating_add(self.max_ahead_elems());
@@ -525,6 +555,7 @@ impl NvrPrefetcher {
             Phase::FetchIndex { window, .. } => {
                 // Skip straight past anything the NPU demanded while the
                 // fill was in flight.
+                self.resolving += 1;
                 self.windows[i].phase = Phase::Resolve {
                     window,
                     next_elem: window.start.max(snoop.elem_consumed.min(window.end)),
@@ -557,6 +588,7 @@ impl NvrPrefetcher {
                         }
                         probes.push(probe);
                     }
+                    self.resolving -= 1;
                     self.windows[i].phase = Phase::ProbeWait {
                         window,
                         next_elem: group_end,
@@ -613,6 +645,7 @@ impl NvrPrefetcher {
                 // Return the consumed probe buffer to the arena.
                 probes.clear();
                 self.probe_pool.push(probes);
+                self.resolving += 1;
                 self.windows[i].phase = Phase::Resolve { window, next_elem };
                 StepOutcome::Worked
             }
@@ -633,6 +666,23 @@ impl Prefetcher for NvrPrefetcher {
         // Fold in anything the memory system recorded after the last
         // advance window (tail demand touches, end-of-run evictions).
         self.lifetime.drain(mem);
+        // Prefetch conservation: every L2 prefetch fill fetched one DRAM
+        // line and has exactly one lifetime outcome, or none yet.
+        if cfg!(debug_assertions) {
+            let t = self.lifetime.report();
+            let stats = mem.stats();
+            let issued = stats.l2.prefetch_issued.get();
+            assert_eq!(
+                t.timely + t.late + t.evicted_unused + t.unresolved,
+                issued,
+                "prefetch lifetimes must account for every L2 prefetch fill"
+            );
+            assert_eq!(
+                issued,
+                stats.dram.prefetch_lines.get(),
+                "every L2 prefetch fill fetches one DRAM line"
+            );
+        }
     }
 
     fn timeliness(&self) -> Option<TimelinessReport> {
@@ -693,8 +743,7 @@ impl Prefetcher for NvrPrefetcher {
         // they were parked — resolving those would prefetch lines the
         // demand stream has already fetched (pure waste), and it is the
         // ROB-head progress register that says so, not oracle knowledge.
-        self.windows
-            .retain(|st| st.window().end > snoop.elem_consumed);
+        self.retain_windows(|st| st.window().end > snoop.elem_consumed);
         for st in &mut self.windows {
             if let Phase::Resolve { window, next_elem } = &mut st.phase {
                 *next_elem = (*next_elem).max(snoop.elem_consumed.min(window.end));
@@ -716,16 +765,23 @@ impl Prefetcher for NvrPrefetcher {
         // vector (`VMIG_BATCH_LINES`) while resolution is flowing — partial
         // issue would fragment the speculative MSHR file across undersized
         // vectors — and flushes whenever the thread blocks or runs dry.
+        // `carried` holds a cycle's issue result when the idle drain below
+        // already issued for the cycle the loop resumes at.
+        let mut carried: Option<bool> = None;
         while self.clock < to {
-            let flowing = self
-                .windows
-                .iter()
-                .any(|st| matches!(st.phase, Phase::Resolve { .. }));
-            let issued = if self.vmig.pending() >= VMIG_BATCH_LINES || !flowing {
-                self.vmig.issue(mem, self.clock, self.cfg.fill_nsb) > 0
-            } else {
-                false
+            debug_assert_eq!(
+                self.resolving,
+                self.windows.iter().filter(|st| st.is_resolving()).count()
+            );
+            let issued = match carried.take() {
+                Some(issued) => issued,
+                None if self.vmig.pending() >= VMIG_BATCH_LINES || self.resolving == 0 => {
+                    self.vmig.issue(mem, self.clock, self.cfg.fill_nsb) > 0
+                }
+                None => false,
             };
+            // What `step` is about to see.
+            let gated = self.backlog_gate_closed();
             let outcome = self.step(snoop, image, mem);
             // Event-driven ticking: a cycle where the thread cannot progress
             // (`Blocked`/`Idle`) and the VIGU issued nothing is *provably
@@ -761,18 +817,42 @@ impl Prefetcher for NvrPrefetcher {
                     }
                 }
                 StepOutcome::Idle => {
-                    if issued {
-                        self.clock += 1;
-                    } else if self.vmig.is_empty() {
-                        break;
-                    } else {
-                        // No thread work at all, queue stuck: only a memory-
-                        // side event can unstick it.
-                        let wake = mem.next_prefetch_wakeup(self.clock);
-                        self.clock = match wake {
-                            Some(w) => w.min(to).max(self.clock + 1),
-                            None => self.clock + 1,
-                        };
+                    // Idle means every window is parked on the reach
+                    // limit, so no window resolves and only the VIGU
+                    // works. Until the backlog gate can flip, a `step`
+                    // would find the same state and return `Idle` again:
+                    // the parked windows wait on the NPU's progress, which
+                    // is fixed within this call; `try_start` sees the same
+                    // coverage, throttle and reach; and nothing refills
+                    // the VIGU. So drain it here without stepping. The
+                    // gate flips when a closed gate sees the backlog fall
+                    // below it, and the residency filter can drop any
+                    // number of lines in one issue, so it is checked after
+                    // each issue; that cycle then resumes the main loop,
+                    // with its issue already done.
+                    let mut issued = issued;
+                    loop {
+                        if issued {
+                            self.clock += 1;
+                        } else if self.vmig.is_empty() {
+                            return;
+                        } else {
+                            // No thread work at all, queue stuck: only a
+                            // memory-side event can unstick it.
+                            let wake = mem.next_prefetch_wakeup(self.clock);
+                            self.clock = match wake {
+                                Some(w) => w.min(to).max(self.clock + 1),
+                                None => self.clock + 1,
+                            };
+                        }
+                        if self.clock >= to {
+                            break;
+                        }
+                        issued = self.vmig.issue(mem, self.clock, self.cfg.fill_nsb) > 0;
+                        if gated && !self.backlog_gate_closed() {
+                            carried = Some(issued);
+                            break;
+                        }
                     }
                 }
             }

@@ -29,8 +29,13 @@ use nvr_mem::MemorySystem;
 #[derive(Debug, Clone)]
 pub struct Vmig {
     width: usize,
-    /// Queued target lines in arrival order.
+    /// Queued target lines in arrival order; the live backlog is
+    /// `queue[head..]`. Issue advances `head` instead of shifting the
+    /// backlog down, so a call costs the lines it takes, not the lines
+    /// still waiting behind them.
     queue: Vec<LineAddr>,
+    /// Index of the oldest line still waiting in `queue`.
+    head: usize,
     /// Predicted-reuse score per queued line (0 for unscored traffic,
     /// e.g. index stream-ahead lines), keyed by line index. Doubles as
     /// the dedup set: membership here means the line is in `queue`, so a
@@ -64,6 +69,7 @@ impl Vmig {
         Vmig {
             width,
             queue: Vec::new(),
+            head: 0,
             scores: FlatMap::new(),
             nsb_admit: 0,
             vectors_issued: 0,
@@ -141,13 +147,13 @@ impl Vmig {
     /// Lines waiting to issue.
     #[must_use]
     pub fn pending(&self) -> usize {
-        self.queue.len()
+        self.queue.len() - self.head
     }
 
     /// Whether any work is queued.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.queue.is_empty()
+        self.pending() == 0
     }
 
     /// Issues one vector (up to `width` lines) of prefetches at `now`,
@@ -167,20 +173,21 @@ impl Vmig {
     /// occupancy instead of pushing requests into a full queue where the
     /// backend would reject them.
     pub fn issue(&mut self, mem: &mut MemorySystem, now: Cycle, fill_nsb: bool) -> usize {
-        if self.queue.is_empty() {
+        if self.is_empty() {
             return 0;
         }
         let cap = self.width.min(mem.prefetch_slots(now));
         if cap == 0 {
             return 0;
         }
-        let mut taken = 0;
+        let mut taken = self.head;
         let mut issued = 0;
-        // Deferred entries are compacted in place at the front of the queue
-        // (`kept` trails `taken`, so the writes never clobber unread
-        // entries) — the post-issue queue is deferred lines in order
-        // followed by the untouched tail, with no per-call allocation.
-        let mut kept = 0;
+        // Deferred entries are compacted in place from the head (`kept`
+        // trails `taken`, so the writes never clobber unread entries) and
+        // then moved up against the untouched tail, so the post-issue
+        // backlog is the deferred lines in order followed by that tail,
+        // with no per-call allocation.
+        let mut kept = self.head;
         // Channel-readiness memo for this call: a channel's answer only
         // changes when a line issues onto it, so a deferred run of
         // same-channel lines costs one queue walk instead of one each.
@@ -192,9 +199,15 @@ impl Vmig {
             // The channel gate only applies to lines that would actually
             // fetch: an on-chip line (possible in NSB mode, where the
             // residency filter is skipped) needs at most an NSB promotion
-            // and never touches the DRAM channel. In filtered mode a line
-            // that survives the residency probe is known off-chip, so the
-            // gate is the channel check alone.
+            // and never touches the DRAM channel. In filtered mode the
+            // residency probe runs first, so a dropped line costs no
+            // channel check, and a line that survives it is known
+            // off-chip, so the gate is the channel check alone.
+            if !fill_nsb && mem.npu_side_contains(line) {
+                self.lines_filtered += 1;
+                self.scores.remove(line.index());
+                continue;
+            }
             let ch = mem.channel_of(line);
             let ready = match chan_ready.get(ch).copied().flatten() {
                 Some(r) => r,
@@ -206,16 +219,7 @@ impl Vmig {
                     r
                 }
             };
-            let deferred = if fill_nsb {
-                !ready && !mem.npu_side_contains(line)
-            } else {
-                if mem.npu_side_contains(line) {
-                    self.lines_filtered += 1;
-                    self.scores.remove(line.index());
-                    continue;
-                }
-                !ready
-            };
+            let deferred = !(ready || (fill_nsb && mem.npu_side_contains(line)));
             if deferred {
                 self.lines_deferred += 1;
                 self.queue[kept] = line;
@@ -255,7 +259,15 @@ impl Vmig {
             }
             issued += 1;
         }
-        self.queue.drain(kept..taken);
+        let n_deferred = kept - self.head;
+        self.queue.copy_within(self.head..kept, taken - n_deferred);
+        self.head = taken - n_deferred;
+        // Reclaim the consumed prefix once it is most of the buffer, so
+        // the allocation tracks the backlog and the shift is amortised.
+        if self.head * 2 > self.queue.len() {
+            self.queue.drain(..self.head);
+            self.head = 0;
+        }
         issued
     }
 
@@ -392,6 +404,30 @@ mod tests {
         // Once the queue drains, the same lines issue.
         let later = 10 * DramConfig::default().line_transfer_cycles();
         assert_eq!(v.issue(&mut mem, later, false), 2);
+        assert!(v.is_empty());
+    }
+
+    #[test]
+    fn issue_dequeues_in_order_across_compaction() {
+        let mut mem = MemorySystem::new(MemoryConfig::default());
+        let mut v = Vmig::new(2);
+        v.push_stream((1..=6).map(LineAddr::new));
+        assert_eq!(v.issue(&mut mem, 0, false), 2);
+        // The head moved past lines 1 and 2 without shifting the backlog.
+        assert_eq!((v.head, v.pending()), (2, 4));
+        v.push(LineAddr::new(7));
+        assert_eq!(v.issue(&mut mem, 1, false), 2);
+        // Past half the buffer, the consumed prefix is reclaimed.
+        assert_eq!((v.head, v.queue.len()), (0, 3));
+        let issued_so_far = |mem: &MemorySystem| {
+            (1..=7u64)
+                .filter(|&l| mem.npu_side_contains(LineAddr::new(l)))
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(issued_so_far(&mem), [1, 2, 3, 4]);
+        assert_eq!(v.issue(&mut mem, 2, false), 2);
+        assert_eq!(issued_so_far(&mem), [1, 2, 3, 4, 5, 6]);
+        assert_eq!(v.issue(&mut mem, 3, false), 1);
         assert!(v.is_empty());
     }
 

@@ -81,6 +81,40 @@ const F_PREFETCH: u8 = 1 << 1;
 /// Whether a demand access touched the line since its fill.
 const F_DEMANDED: u8 = 1 << 2;
 
+/// Running first minimum over a set's ways, offered in way order: a way
+/// replaces the holder only on a strictly smaller key, so ties keep the
+/// earliest way, as `min_by_key` would. The update is branch-free: which
+/// way wins depends on the data, and as a branch it mispredicts on most
+/// victim scans.
+#[derive(Debug, Clone, Copy)]
+struct FirstMin<K> {
+    found: bool,
+    key: K,
+    way: usize,
+}
+
+impl<K: Copy + Default + PartialOrd> FirstMin<K> {
+    fn new() -> Self {
+        FirstMin {
+            found: false,
+            key: K::default(),
+            way: 0,
+        }
+    }
+
+    #[inline(always)]
+    fn offer(&mut self, eligible: bool, key: K, way: usize) {
+        let take = eligible & (!self.found | (key < self.key));
+        self.found |= take;
+        self.key = std::hint::select_unpredictable(take, key, self.key);
+        self.way = std::hint::select_unpredictable(take, way, self.way);
+    }
+
+    fn get(&self) -> Option<usize> {
+        self.found.then_some(self.way)
+    }
+}
+
 /// A non-blocking set-associative cache level.
 ///
 /// Fills are modelled by timestamps: [`Cache::install`] records the cycle at
@@ -278,15 +312,18 @@ impl Cache {
         }
     }
 
-    /// SoA slot index of `line`'s way, if resident or in flight.
+    /// SoA slot index of `line`'s way, if resident or in flight. The
+    /// hierarchy's fill path probes once with this and then works on the
+    /// slot through the `*_at` helpers below.
     #[inline]
-    fn find_way(&self, line: LineAddr) -> Option<usize> {
+    pub(crate) fn find_way(&self, line: LineAddr) -> Option<usize> {
         let base = self.set_index(line) * self.ways;
         let tag = self.tag(line);
         let tags = &self.tags[base..base + self.ways];
         let flags = &self.flags[base..base + self.ways];
+        // Tag first: the validity byte is read only on a tag match.
         for w in 0..self.ways {
-            if flags[w] & F_VALID != 0 && tags[w] == tag {
+            if tags[w] == tag && flags[w] & F_VALID != 0 {
                 return Some(base + w);
             }
         }
@@ -365,7 +402,13 @@ impl Cache {
     /// without touching LRU state or statistics.
     #[must_use]
     pub fn ready_time(&self, line: LineAddr, now: Cycle) -> Option<Cycle> {
-        self.find_way(line).map(|i| self.fill_done[i].max(now))
+        self.find_way(line).map(|i| self.ready_time_at(i, now))
+    }
+
+    /// [`Cache::ready_time`] of the line in slot `i` (from [`Cache::find_way`]).
+    #[inline]
+    pub(crate) fn ready_time_at(&self, i: usize, now: Cycle) -> Cycle {
+        self.fill_done[i].max(now)
     }
 
     /// Number of MSHR entries still pending at `now`.
@@ -471,8 +514,6 @@ impl Cache {
         queue_delay: Cycle,
         reuse: u32,
     ) -> bool {
-        let set = self.set_index(line);
-        let tag = self.tag(line);
         if let Some(i) = self.find_way(line) {
             // Refill of a resident line (e.g. prefetch after demand raced in).
             self.fill_done[i] = self.fill_done[i].min(fill_done);
@@ -483,7 +524,27 @@ impl Cache {
             }
             return true;
         }
+        self.install_absent(line, fill_done, from_prefetch, now, queue_delay, reuse)
+    }
 
+    /// The miss half of [`Cache::install_inner`]: fills `line`, which the
+    /// caller has just found absent with [`Cache::find_way`], without a
+    /// second tag scan. Returns whether a scored level accepted the fill.
+    pub(crate) fn install_absent(
+        &mut self,
+        line: LineAddr,
+        fill_done: Cycle,
+        from_prefetch: bool,
+        now: Cycle,
+        queue_delay: Cycle,
+        reuse: u32,
+    ) -> bool {
+        debug_assert!(
+            self.find_way(line).is_none(),
+            "install_absent on a resident line"
+        );
+        let set = self.set_index(line);
+        let tag = self.tag(line);
         // Victim selection happens *before* any bookkeeping so a rejected
         // scored fill leaves the cache (MSHRs, lifetime log, stats other
         // than the rejection counter) untouched.
@@ -554,29 +615,28 @@ impl Cache {
     /// index (`set * ways + way`).
     fn pick_victim(&self, set: usize, now: Cycle) -> usize {
         let base = set * self.ways;
-        let mut filled_lru: Option<usize> = None;
-        let mut any_lru: Option<usize> = None;
-        for i in base..base + self.ways {
-            if self.flags[i] & F_VALID == 0 {
-                return i;
+        let flags = &self.flags[base..base + self.ways];
+        let fill_done = &self.fill_done[base..base + self.ways];
+        let last_use = &self.last_use[base..base + self.ways];
+        let mut filled_lru = FirstMin::new();
+        let mut any_lru = FirstMin::new();
+        for i in 0..self.ways {
+            if flags[i] & F_VALID == 0 {
+                return base + i;
             }
-            // First-minimum semantics: strictly-less keeps the earliest way
-            // on ties, matching an LRU scan in way order.
-            if self.fill_done[i] <= now
-                && filled_lru.is_none_or(|b| self.last_use[i] < self.last_use[b])
-            {
-                filled_lru = Some(i);
-            }
-            if any_lru.is_none_or(|b| self.last_use[i] < self.last_use[b]) {
-                any_lru = Some(i);
-            }
+            filled_lru.offer(fill_done[i] <= now, last_use[i], i);
+            any_lru.offer(true, last_use[i], i);
         }
         // Every way is mid-fill (pathological): fall back to plain LRU.
         #[expect(
             clippy::expect_used,
             reason = "CacheConfig::validate rejects ways == 0, so the scan above always selects a way"
         )]
-        filled_lru.or(any_lru).expect("ways is non-empty")
+        let way = filled_lru
+            .get()
+            .or(any_lru.get())
+            .expect("ways is non-empty");
+        base + way
     }
 
     /// Victim selection under [`RetentionPolicy::ScoredReuse`] — the
@@ -615,50 +675,35 @@ impl Cache {
         let fill_done = &self.fill_done[base..base + self.ways];
         let reuse = &self.reuse[base..base + self.ways];
         let last_use = &self.last_use[base..base + self.ways];
-        let mut exhausted_lru: Option<usize> = None;
         // First pass: an invalid way is taken on sight, and an exhausted
         // (reuse == 0) way preempts everything the second pass computes.
-        // Both are the common steady-state outcomes, so the expensive
-        // weakest-resident ranking below runs only when neither exists.
+        // Both are the common steady-state outcomes, so the weakest-
+        // resident ranking below runs only when neither exists.
+        let mut exhausted_lru = FirstMin::new();
         for i in 0..self.ways {
             if flags[i] & F_VALID == 0 {
                 return Ok(base + i);
             }
-            if fill_done[i] > now {
-                continue;
-            }
-            if reuse[i] == 0 && exhausted_lru.is_none_or(|b| last_use[i] < last_use[b]) {
-                exhausted_lru = Some(i);
-            }
+            exhausted_lru.offer((fill_done[i] <= now) & (reuse[i] == 0), last_use[i], i);
         }
-        if let Some(i) = exhausted_lru {
+        if let Some(i) = exhausted_lru.get() {
             return Ok(base + i);
         }
-        let mut weakest_evictable: Option<usize> = None;
-        let mut weakest_filled: Option<usize> = None;
-        // Keys are (reuse, last_use) lexicographic with first-minimum
-        // semantics, matching a min_by_key scan in way order.
-        let weaker = |i: usize, b: usize| (reuse[i], last_use[i]) < (reuse[b], last_use[b]);
+        // Keys are (reuse, last_use) lexicographic.
+        let mut weakest_evictable = FirstMin::new();
+        let mut weakest_filled = FirstMin::new();
         for i in 0..self.ways {
-            if fill_done[i] > now {
-                continue;
-            }
+            let filled = fill_done[i] <= now;
             let active_window =
-                protect_active && flags[i] & (F_PREFETCH | F_DEMANDED) == F_PREFETCH;
-            if !active_window && weakest_evictable.is_none_or(|b| weaker(i, b)) {
-                weakest_evictable = Some(i);
-            }
-            if weakest_filled.is_none_or(|b| weaker(i, b)) {
-                weakest_filled = Some(i);
-            }
+                protect_active & (flags[i] & (F_PREFETCH | F_DEMANDED) == F_PREFETCH);
+            let key = (reuse[i], last_use[i]);
+            weakest_evictable.offer(filled & !active_window, key, i);
+            weakest_filled.offer(filled, key, i);
         }
-        match weakest_evictable {
-            Some(i) if incoming > reuse[i] => Ok(base + i),
-            Some(i) => Err(base + i),
-            None => match weakest_filled {
-                Some(i) => Err(base + i),
-                None => Ok(self.pick_victim(set, now)),
-            },
+        match (weakest_evictable.get(), weakest_filled.get()) {
+            (Some(i), _) if incoming > reuse[i] => Ok(base + i),
+            (Some(i), _) | (None, Some(i)) => Err(base + i),
+            (None, None) => Ok(self.pick_victim(set, now)),
         }
     }
 
@@ -671,10 +716,16 @@ impl Cache {
     /// (scores must stay 0 for the LRU-equivalence invariant) and for
     /// absent or mid-fill-refilled lines.
     pub fn refresh_reuse(&mut self, line: LineAddr, reuse: u32) {
-        if self.cfg.policy == RetentionPolicy::Lru {
-            return;
-        }
         if let Some(i) = self.find_way(line) {
+            self.refresh_reuse_at(i, reuse);
+        }
+    }
+
+    /// [`Cache::refresh_reuse`] of the line in slot `i` (from
+    /// [`Cache::find_way`]).
+    #[inline]
+    pub(crate) fn refresh_reuse_at(&mut self, i: usize, reuse: u32) {
+        if self.cfg.policy != RetentionPolicy::Lru {
             self.reuse[i] = self.reuse[i].max(reuse);
         }
     }

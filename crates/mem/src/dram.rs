@@ -130,7 +130,12 @@ impl DramBackend {
         reason = "the remainder is below cfg.channels, which is a usize"
     )]
     pub fn channel_of(&self, line: LineAddr) -> usize {
-        (line.index() % self.cfg.channels as u64) as usize
+        // One channel (the default) skips the 64-bit division: this runs
+        // once per demand miss and per speculative line the VIGU scans.
+        match self.cfg.channels {
+            1 => 0,
+            n => (line.index() % n as u64) as usize,
+        }
     }
 
     /// Promotes queued speculative transfers whose slot has started by

@@ -280,23 +280,25 @@ impl MemorySystem {
         if self.ideal {
             return PrefetchOutcome::Redundant;
         }
-        let l2_has = self.l2.contains(line);
-        if l2_has {
+        // Each level is probed once: the slot found here carries the
+        // refresh, the promotion's ready time and the fill decision.
+        if let Some(l2_slot) = self.l2.find_way(line) {
             self.l2.note_prefetch_redundant();
-            self.l2.refresh_reuse(line, reuse);
+            self.l2.refresh_reuse_at(l2_slot, reuse);
             // The data is (or will be) on-chip; optionally pull it into the
             // NSB so the NPU-side latency drops too.
             if fill_nsb {
                 if let Some(nsb) = &mut self.nsb {
-                    if nsb.contains(line) {
-                        nsb.refresh_reuse(line, nsb_reuse);
-                    } else if nsb.mshr_available(now) {
-                        if let Some(ready) = self.l2.ready_time(line, now) {
-                            if nsb.install_speculative_scored(line, ready, now, 0, nsb_reuse) {
+                    match nsb.find_way(line) {
+                        Some(nsb_slot) => nsb.refresh_reuse_at(nsb_slot, nsb_reuse),
+                        None if nsb.mshr_available(now) => {
+                            let ready = self.l2.ready_time_at(l2_slot, now);
+                            if nsb.install_absent(line, ready, true, now, 0, nsb_reuse) {
                                 nsb.note_prefetch_issued();
                                 return PrefetchOutcome::Issued { fill_done: ready };
                             }
                         }
+                        None => {}
                     }
                 }
             }
@@ -325,7 +327,7 @@ impl MemorySystem {
         // the issue is counted against the level regardless and the
         // rejection shows up in `retention_rejected`.
         self.l2
-            .install_speculative_scored(line, fill_done, now, queue_delay, reuse);
+            .install_absent(line, fill_done, true, now, queue_delay, reuse);
         self.l2.note_prefetch_issued();
         if fill_nsb {
             if let Some(nsb) = &mut self.nsb {
@@ -371,15 +373,24 @@ impl MemorySystem {
     /// file back-pressures instead of dropping elements.
     #[must_use]
     pub fn prefetch_slots(&self, now: Cycle) -> usize {
-        let pending = self.pf_inflight.len() - self.pf_inflight.partition_point(|&c| c <= now);
+        let pending = self.pf_inflight.len() - self.pf_completed(now);
         self.cfg.prefetch_mshrs.saturating_sub(pending)
+    }
+
+    /// How many fills at the front of the speculative MSHR file have
+    /// completed by `now`. The file is ascending and every insert prunes
+    /// the completed prefix, so it holds at most `prefetch_mshrs` entries
+    /// and the prefix is usually a few long: a forward scan beats a
+    /// binary search here, and this runs on every VIGU issue attempt.
+    fn pf_completed(&self, now: Cycle) -> usize {
+        self.pf_inflight.iter().take_while(|&&c| c <= now).count()
     }
 
     /// Records a speculative fill in the prefetch MSHR file, pruning
     /// completed entries and keeping the file sorted (fills land in
     /// near-monotone order, so the common case is a plain push).
     fn track_prefetch(&mut self, fill_done: Cycle, now: Cycle) {
-        let done = self.pf_inflight.partition_point(|&c| c <= now);
+        let done = self.pf_completed(now);
         if done > 0 {
             self.pf_inflight.drain(..done);
         }
@@ -419,8 +430,7 @@ impl MemorySystem {
     /// finding the same thing.
     #[must_use]
     pub fn next_prefetch_wakeup(&self, now: Cycle) -> Option<Cycle> {
-        let pending = self.pf_inflight.partition_point(|&c| c <= now);
-        let mshr = self.pf_inflight.get(pending).copied();
+        let mshr = self.pf_inflight.get(self.pf_completed(now)).copied();
         let queue = self.dram.next_pf_queue_start(now);
         match (mshr, queue) {
             (Some(a), Some(b)) => Some(a.min(b)),

@@ -165,305 +165,422 @@ fn parallel_sweep_matches_serial_bit_for_bit() {
 /// "performance" change altered simulation semantics — exactly the
 /// regression this suite exists to catch. (The perf gate's
 /// `sim_cycles_total` check covers the whole grid's cycle sum; this test
-/// pins the per-system, per-counter decomposition.)
+/// pins the per-system, per-counter decomposition.) The six NSB, L2 and
+/// DRAM columns after `slack_sum` pin the counters the speculative fill
+/// path touches; they were captured from the tree just before that path
+/// was rewritten to probe each level once.
 #[test]
 fn optimised_hot_paths_match_seed_fingerprints() {
     // Columns: workload, system, total_cycles, base_cycles,
     // l2_demand_misses, l2_demand_hits, dram_demand_lines,
     // l2_prefetch_issued, l2_prefetch_useful, timely, late,
-    // evicted_unused, slack_sum.
-    const GOLDEN: &[(&str, &str, [u64; 11])] = &[
+    // evicted_unused, slack_sum, nsb_prefetch_issued, nsb_demand_hits,
+    // nsb_retention_rejected, l2_prefetch_redundant,
+    // l2_retention_rejected, dram_prefetch_lines. The NSB columns are 0
+    // for systems without an NSB.
+    const GOLDEN: &[(&str, &str, [u64; 17])] = &[
         (
             "DS",
             "InO",
-            [122560, 22368, 4584, 3864, 4584, 0, 0, 0, 0, 0, 0],
+            [
+                122560, 22368, 4584, 3864, 4584, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+            ],
         ),
         (
             "DS",
             "OoO",
-            [73344, 16438, 4584, 3864, 4584, 0, 0, 0, 0, 0, 0],
+            [
+                73344, 16438, 4584, 3864, 4584, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+            ],
         ),
         (
             "DS",
             "Stream",
-            [121112, 22368, 4411, 4003, 4411, 177, 173, 0, 0, 0, 0],
+            [
+                121112, 22368, 4411, 4003, 4411, 177, 173, 0, 0, 0, 0, 0, 0, 0, 4243, 0, 177,
+            ],
         ),
         (
             "DS",
             "IMP",
-            [116536, 22368, 3796, 4640, 3796, 828, 796, 0, 0, 0, 0],
+            [
+                116536, 22368, 3796, 4640, 3796, 828, 796, 0, 0, 0, 0, 0, 0, 0, 15630, 0, 828,
+            ],
         ),
         (
             "DS",
             "DVR",
-            [99936, 22368, 3856, 4592, 3856, 809, 728, 0, 0, 0, 0],
+            [
+                99936, 22368, 3856, 4592, 3856, 809, 728, 0, 0, 0, 0, 0, 0, 0, 5940, 0, 809,
+            ],
         ),
         (
             "DS",
             "NVR",
             [
-                45064, 22368, 96, 6055, 96, 4501, 4492, 2195, 2297, 0, 2606617,
+                45064, 22368, 96, 6055, 96, 4501, 4492, 2195, 2297, 0, 2606617, 0, 0, 0, 211, 0,
+                4501,
             ],
         ),
         (
             "DS",
             "NVR+NSB",
             [
-                45711, 17184, 95, 730, 95, 4531, 1098, 1960, 2562, 0, 2310763,
+                45711, 17184, 95, 730, 95, 4531, 1098, 1960, 2562, 0, 2310763, 5381, 5061, 1025,
+                3675, 0, 4531,
             ],
         ),
         (
             "GAT",
             "InO",
-            [139764, 28356, 1997, 3494, 1997, 0, 0, 0, 0, 0, 0],
+            [
+                139764, 28356, 1997, 3494, 1997, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+            ],
         ),
         (
             "GAT",
             "OoO",
-            [71476, 20578, 1997, 3492, 1997, 0, 0, 0, 0, 0, 0],
+            [
+                71476, 20578, 1997, 3492, 1997, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+            ],
         ),
         (
             "GAT",
             "Stream",
-            [130428, 28356, 1360, 3826, 1360, 868, 639, 0, 0, 0, 0],
+            [
+                130428, 28356, 1360, 3826, 1360, 868, 639, 0, 0, 0, 0, 0, 0, 0, 5944, 0, 868,
+            ],
         ),
         (
             "GAT",
             "IMP",
-            [122320, 28356, 1595, 3838, 1595, 796, 410, 0, 0, 0, 0],
+            [
+                122320, 28356, 1595, 3838, 1595, 796, 410, 0, 0, 0, 0, 0, 0, 0, 19959, 0, 796,
+            ],
         ),
         (
             "GAT",
             "DVR",
-            [97212, 28356, 1076, 4406, 1076, 979, 922, 0, 0, 0, 0],
+            [
+                97212, 28356, 1076, 4406, 1076, 979, 922, 0, 0, 0, 0, 0, 0, 0, 5421, 0, 979,
+            ],
         ),
         (
             "GAT",
             "NVR",
             [
-                47899, 28356, 43, 4935, 43, 2143, 1977, 1464, 513, 3, 4480805,
+                47899, 28356, 43, 4935, 43, 2143, 1977, 1464, 513, 3, 4480805, 0, 0, 0, 318, 0,
+                2143,
             ],
         ),
         (
             "GAT",
             "NVR+NSB",
             [
-                47482, 21636, 38, 2458, 38, 2089, 1107, 1423, 551, 4, 4294872,
+                47482, 21636, 38, 2458, 38, 2089, 1107, 1423, 551, 4, 4294872, 3208, 2444, 2361,
+                3773, 0, 2089,
             ],
         ),
         (
             "GCN",
             "InO",
-            [331088, 50435, 18542, 3009, 18542, 0, 0, 0, 0, 0, 0],
+            [
+                331088, 50435, 18542, 3009, 18542, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+            ],
         ),
         (
             "GCN",
             "OoO",
-            [244120, 42440, 18546, 3001, 18546, 0, 0, 0, 0, 0, 0],
+            [
+                244120, 42440, 18546, 3001, 18546, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+            ],
         ),
         (
             "GCN",
             "Stream",
-            [327376, 50435, 18197, 3160, 18197, 523, 364, 0, 0, 0, 0],
+            [
+                327376, 50435, 18197, 3160, 18197, 523, 364, 0, 0, 0, 0, 0, 0, 0, 6765, 0, 523,
+            ],
         ),
         (
             "GCN",
             "IMP",
-            [324648, 50435, 17812, 3714, 17812, 1288, 812, 0, 0, 0, 0],
+            [
+                324648, 50435, 17812, 3714, 17812, 1288, 812, 0, 0, 0, 0, 0, 0, 0, 18991, 0, 1288,
+            ],
         ),
         (
             "GCN",
             "DVR",
-            [269000, 50435, 11578, 9967, 11578, 7771, 7096, 0, 0, 0, 0],
+            [
+                269000, 50435, 11578, 9967, 11578, 7771, 7096, 0, 0, 0, 0, 0, 0, 0, 10544, 0, 7771,
+            ],
         ),
         (
             "GCN",
             "NVR",
             [
-                190193, 50435, 5789, 8578, 5789, 12862, 12814, 5630, 7184, 47, 10622041,
+                190193, 50435, 5789, 8578, 5789, 12862, 12814, 5630, 7184, 47, 10622041, 0, 0, 0,
+                280, 0, 12862,
             ],
         ),
         (
             "GCN",
             "NVR+NSB",
             [
-                189670, 45448, 5585, 3376, 5585, 12872, 4546, 5693, 7018, 160, 10439650,
+                189670, 45448, 5585, 3376, 5585, 12872, 4546, 5693, 7018, 160, 10439650, 11777,
+                5607, 4348, 8787, 0, 12872,
             ],
         ),
         (
             "GSABT",
             "InO",
-            [200056, 38008, 7426, 7094, 7426, 0, 0, 0, 0, 0, 0],
+            [
+                200056, 38008, 7426, 7094, 7426, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+            ],
         ),
         (
             "GSABT",
             "OoO",
-            [139699, 28288, 7426, 7094, 7426, 0, 0, 0, 0, 0, 0],
+            [
+                139699, 28288, 7426, 7094, 7426, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+            ],
         ),
         (
             "GSABT",
             "Stream",
-            [199936, 38008, 2465, 7241, 2465, 5024, 4974, 0, 0, 0, 0],
+            [
+                199936, 38008, 2465, 7241, 2465, 5024, 4974, 0, 0, 0, 0, 0, 0, 0, 20764, 0, 5024,
+            ],
         ),
         (
             "GSABT",
             "IMP",
-            [194920, 38008, 6714, 7742, 6714, 884, 732, 0, 0, 0, 0],
+            [
+                194920, 38008, 6714, 7742, 6714, 884, 732, 0, 0, 0, 0, 0, 0, 0, 27822, 0, 884,
+            ],
         ),
         (
             "GSABT",
             "DVR",
-            [194773, 38008, 7045, 7475, 7045, 514, 382, 0, 0, 0, 0],
+            [
+                194773, 38008, 7045, 7475, 7045, 514, 382, 0, 0, 0, 0, 0, 0, 0, 16445, 0, 514,
+            ],
         ),
         (
             "GSABT",
             "NVR",
             [
-                105846, 38008, 214, 10671, 214, 7268, 7256, 3621, 3635, 0, 7317234,
+                105846, 38008, 214, 10671, 214, 7268, 7256, 3621, 3635, 0, 7317234, 0, 0, 0, 352,
+                0, 7268,
             ],
         ),
         (
             "GSABT",
             "NVR+NSB",
             [
-                107136, 32256, 193, 3440, 193, 7375, 3014, 3329, 4034, 0, 6863410,
+                107136, 32256, 193, 3440, 193, 7375, 3014, 3329, 4034, 0, 6863410, 10961, 6853,
+                1931, 6356, 0, 7375,
             ],
         ),
         (
             "H2O",
             "InO",
-            [71816, 16928, 2168, 4168, 2168, 0, 0, 0, 0, 0, 0],
+            [
+                71816, 16928, 2168, 4168, 2168, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+            ],
         ),
         (
             "H2O",
             "OoO",
-            [49949, 12338, 2168, 4168, 2168, 0, 0, 0, 0, 0, 0],
+            [
+                49949, 12338, 2168, 4168, 2168, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+            ],
         ),
         (
             "H2O",
             "Stream",
-            [71280, 16928, 2012, 4232, 2012, 157, 156, 0, 0, 0, 0],
+            [
+                71280, 16928, 2012, 4232, 2012, 157, 156, 0, 0, 0, 0, 0, 0, 0, 4063, 0, 157,
+            ],
         ),
         (
             "H2O",
             "IMP",
-            [67504, 16928, 1629, 4706, 1629, 735, 540, 0, 0, 0, 0],
+            [
+                67504, 16928, 1629, 4706, 1629, 735, 540, 0, 0, 0, 0, 0, 0, 0, 12567, 0, 735,
+            ],
         ),
         (
             "H2O",
             "DVR",
-            [68000, 16928, 1744, 4264, 1744, 498, 424, 0, 0, 0, 0],
+            [
+                68000, 16928, 1744, 4264, 1744, 498, 424, 0, 0, 0, 0, 0, 0, 0, 5860, 0, 498,
+            ],
         ),
         (
             "H2O",
             "NVR",
             [
-                25167, 16928, 40, 5902, 40, 2135, 2128, 1734, 394, 0, 1837241,
+                25167, 16928, 40, 5902, 40, 2135, 2128, 1734, 394, 0, 1837241, 0, 0, 0, 176, 0,
+                2135,
             ],
         ),
         (
             "H2O",
             "NVR+NSB",
-            [25241, 12896, 40, 253, 40, 2135, 281, 1454, 674, 0, 1630986],
+            [
+                25241, 12896, 40, 253, 40, 2135, 281, 1454, 674, 0, 1630986, 2244, 5369, 233, 3359,
+                0, 2135,
+            ],
         ),
-        ("MK", "InO", [42038, 3009, 880, 79, 880, 0, 0, 0, 0, 0, 0]),
-        ("MK", "OoO", [40838, 964, 880, 79, 880, 0, 0, 0, 0, 0, 0]),
+        (
+            "MK",
+            "InO",
+            [
+                42038, 3009, 880, 79, 880, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+            ],
+        ),
+        (
+            "MK",
+            "OoO",
+            [40838, 964, 880, 79, 880, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0],
+        ),
         (
             "MK",
             "Stream",
-            [42038, 3009, 880, 79, 880, 0, 0, 0, 0, 0, 0],
+            [
+                42038, 3009, 880, 79, 880, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+            ],
         ),
         (
             "MK",
             "IMP",
-            [33722, 3009, 853, 106, 853, 30, 27, 0, 0, 0, 0],
+            [
+                33722, 3009, 853, 106, 853, 30, 27, 0, 0, 0, 0, 0, 0, 0, 1766, 0, 30,
+            ],
         ),
         (
             "MK",
             "DVR",
-            [40165, 3009, 748, 183, 748, 135, 132, 0, 0, 0, 0],
+            [
+                40165, 3009, 748, 183, 748, 135, 132, 0, 0, 0, 0, 0, 0, 0, 920, 0, 135,
+            ],
         ),
         (
             "MK",
             "NVR",
-            [20607, 3009, 398, 559, 398, 562, 482, 480, 2, 0, 3254304],
+            [
+                20607, 3009, 398, 559, 398, 562, 482, 480, 2, 0, 3254304, 0, 0, 0, 45, 0, 562,
+            ],
         ),
         (
             "MK",
             "NVR+NSB",
-            [20635, 1414, 402, 200, 402, 558, 156, 476, 2, 0, 3187922],
+            [
+                20635, 1414, 402, 200, 402, 558, 156, 476, 2, 0, 3187922, 429, 355, 94, 81, 0, 558,
+            ],
         ),
         (
             "SCN",
             "InO",
-            [81816, 9501, 990, 2657, 990, 0, 0, 0, 0, 0, 0],
+            [
+                81816, 9501, 990, 2657, 990, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+            ],
         ),
         (
             "SCN",
             "OoO",
-            [65539, 5086, 990, 2558, 990, 0, 0, 0, 0, 0, 0],
+            [
+                65539, 5086, 990, 2558, 990, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+            ],
         ),
         (
             "SCN",
             "Stream",
-            [78180, 9501, 958, 2689, 958, 38, 32, 0, 0, 0, 0],
+            [
+                78180, 9501, 958, 2689, 958, 38, 32, 0, 0, 0, 0, 0, 0, 0, 278, 0, 38,
+            ],
         ),
         (
             "SCN",
             "IMP",
-            [72704, 9501, 916, 2731, 916, 106, 74, 0, 0, 0, 0],
+            [
+                72704, 9501, 916, 2731, 916, 106, 74, 0, 0, 0, 0, 0, 0, 0, 4945, 0, 106,
+            ],
         ),
         (
             "SCN",
             "DVR",
-            [71673, 9501, 751, 2873, 751, 242, 239, 0, 0, 0, 0],
+            [
+                71673, 9501, 751, 2873, 751, 242, 239, 0, 0, 0, 0, 0, 0, 0, 3104, 0, 242,
+            ],
         ),
         (
             "SCN",
             "NVR",
-            [28065, 9501, 92, 3697, 92, 1014, 898, 881, 17, 0, 2159745],
+            [
+                28065, 9501, 92, 3697, 92, 1014, 898, 881, 17, 0, 2159745, 0, 0, 0, 967, 0, 1014,
+            ],
         ),
         (
             "SCN",
             "NVR+NSB",
-            [27920, 6048, 91, 989, 91, 1032, 436, 867, 32, 0, 2049059],
+            [
+                27920, 6048, 91, 989, 91, 1032, 436, 867, 32, 0, 2049059, 1076, 2572, 326, 2267, 0,
+                1032,
+            ],
         ),
         (
             "ST",
             "InO",
-            [81280, 10080, 2304, 2048, 2304, 0, 0, 0, 0, 0, 0],
+            [
+                81280, 10080, 2304, 2048, 2304, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+            ],
         ),
         (
             "ST",
             "OoO",
-            [45552, 4150, 2304, 2048, 2304, 0, 0, 0, 0, 0, 0],
+            [
+                45552, 4150, 2304, 2048, 2304, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+            ],
         ),
         (
             "ST",
             "Stream",
-            [78312, 10080, 575, 2190, 575, 1758, 1729, 0, 0, 0, 0],
+            [
+                78312, 10080, 575, 2190, 575, 1758, 1729, 0, 0, 0, 0, 0, 0, 0, 8078, 0, 1758,
+            ],
         ),
         (
             "ST",
             "IMP",
-            [73800, 10080, 1826, 2368, 1826, 510, 478, 0, 0, 0, 0],
+            [
+                73800, 10080, 1826, 2368, 1826, 510, 478, 0, 0, 0, 0, 0, 0, 0, 16526, 0, 510,
+            ],
         ),
         (
             "ST",
             "DVR",
-            [67856, 10080, 1728, 2594, 1728, 576, 576, 0, 0, 0, 0],
+            [
+                67856, 10080, 1728, 2594, 1728, 576, 576, 0, 0, 0, 0, 0, 0, 0, 4608, 0, 576,
+            ],
         ),
         (
             "ST",
             "NVR",
             [
-                33305, 10080, 30, 2862, 30, 2283, 2274, 814, 1460, 0, 1951613,
+                33305, 10080, 30, 2862, 30, 2283, 2274, 814, 1460, 0, 1951613, 0, 0, 0, 168, 0,
+                2283,
             ],
         ),
         (
             "ST",
             "NVR+NSB",
-            [34101, 5120, 24, 793, 24, 2289, 773, 726, 1554, 0, 1863770],
+            [
+                34101, 5120, 24, 793, 24, 2289, 773, 726, 1554, 0, 1863770, 3388, 1981, 401, 2113,
+                0, 2289,
+            ],
         ),
     ];
     let mut idx = 0;
@@ -479,6 +596,7 @@ fn optimised_hot_paths_match_seed_fingerprints() {
             let o = run_system(&program, &MemoryConfig::default(), system);
             let m = &o.result.mem;
             let t = o.timeliness.clone().unwrap_or_default();
+            let nsb = m.nsb.clone().unwrap_or_default();
             let got = (
                 workload.short(),
                 system.label(),
@@ -494,6 +612,12 @@ fn optimised_hot_paths_match_seed_fingerprints() {
                     t.late,
                     t.evicted_unused,
                     t.slack.sum(),
+                    nsb.prefetch_issued.get(),
+                    nsb.demand_hits.get(),
+                    nsb.retention_rejected.get(),
+                    m.l2.prefetch_redundant.get(),
+                    m.l2.retention_rejected.get(),
+                    m.dram.prefetch_lines.get(),
                 ],
             );
             assert_eq!(

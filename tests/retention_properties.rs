@@ -385,3 +385,303 @@ proptest! {
         }
     }
 }
+
+/// One step of a random stream for the differential scored-retention
+/// test. `dt` advances the clock before the op; it is often 0, so ways
+/// share `last_use` stamps and the first-minimum tie-breaks decide.
+#[derive(Debug, Clone, Copy)]
+enum ScoredOp {
+    /// A speculative fill carrying a predicted-reuse score.
+    Prefetch {
+        line: u64,
+        dt: Cycle,
+        delay: Cycle,
+        score: u32,
+    },
+    /// A demand fill (score 0), which a scored level may also reject.
+    Demand { line: u64, dt: Cycle, delay: Cycle },
+    /// A lookup.
+    Probe { line: u64, dt: Cycle, demand: bool },
+    /// A redundant scored prefetch raising a resident line's score.
+    Refresh { line: u64, dt: Cycle, score: u32 },
+}
+
+impl ScoredOp {
+    fn dt(self) -> Cycle {
+        match self {
+            ScoredOp::Prefetch { dt, .. }
+            | ScoredOp::Demand { dt, .. }
+            | ScoredOp::Probe { dt, .. }
+            | ScoredOp::Refresh { dt, .. } => dt,
+        }
+    }
+
+    fn random(rng: &mut TestRng) -> Self {
+        let line = rng.below(REF_UNIVERSE);
+        let dt = rng.below(3).saturating_sub(1);
+        let delay = rng.below(8);
+        let score = rng.below(4) as u32;
+        match rng.below(8) {
+            0..=2 => ScoredOp::Prefetch {
+                line,
+                dt,
+                delay,
+                score,
+            },
+            3 => ScoredOp::Demand { line, dt, delay },
+            4..=6 => ScoredOp::Probe {
+                line,
+                dt,
+                demand: rng.below(4) != 0,
+            },
+            _ => ScoredOp::Refresh { line, dt, score },
+        }
+    }
+}
+
+/// A resident way of the scored reference.
+#[derive(Debug, Clone, Copy)]
+struct RefWay {
+    line: u64,
+    fill_done: Cycle,
+    last_use: Cycle,
+    reuse: u32,
+    prefetch: bool,
+    demanded: bool,
+}
+
+/// Which rule of the scored fill decision settled an install.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum Rule {
+    InvalidWay,
+    ExhaustedLru,
+    BeatsWeakest,
+    Rejected,
+    EvictWeakest,
+    AllMidFillLru,
+}
+
+/// A deliberately naive scored cache: each set is a list of optional
+/// ways in way order, and every decision is a filter plus a
+/// `min_by_key`, which returns the first of equal minima — the
+/// tie-break the structure-of-arrays `Cache` must reproduce.
+struct RefScored {
+    sets: Vec<Vec<Option<RefWay>>>,
+    policy: RetentionPolicy,
+    hit_latency: Cycle,
+    rejected: u64,
+}
+
+impl RefScored {
+    fn new(cfg: &CacheConfig) -> Self {
+        let sets = cfg.size_bytes / 64 / cfg.ways;
+        RefScored {
+            sets: vec![vec![None; cfg.ways as usize]; sets as usize],
+            policy: cfg.policy,
+            hit_latency: cfg.hit_latency,
+            rejected: 0,
+        }
+    }
+
+    fn set(&mut self, line: u64) -> &mut Vec<Option<RefWay>> {
+        let n = self.sets.len() as u64;
+        &mut self.sets[(line % n) as usize]
+    }
+
+    fn find(&mut self, line: u64) -> Option<&mut RefWay> {
+        self.set(line).iter_mut().flatten().find(|w| w.line == line)
+    }
+
+    fn contains(&self, line: u64) -> bool {
+        self.sets.iter().flatten().flatten().any(|w| w.line == line)
+    }
+
+    fn probe(&mut self, line: u64, now: Cycle, demand: bool) -> ProbeResult {
+        let hit_latency = self.hit_latency;
+        let Some(w) = self.find(line) else {
+            return ProbeResult::Miss;
+        };
+        w.last_use = now;
+        if demand {
+            w.demanded = true;
+            w.reuse = w.reuse.saturating_sub(1);
+        }
+        if w.fill_done <= now {
+            ProbeResult::Hit {
+                ready_at: now + hit_latency,
+            }
+        } else {
+            ProbeResult::InFlight {
+                ready_at: w.fill_done.max(now + hit_latency),
+                fill_was_prefetch: w.prefetch,
+            }
+        }
+    }
+
+    fn refresh(&mut self, line: u64, reuse: u32) {
+        if let Some(w) = self.find(line) {
+            w.reuse = w.reuse.max(reuse);
+        }
+    }
+
+    /// Returns whether the fill was accepted and, for a miss, the rule
+    /// that decided it.
+    fn install(
+        &mut self,
+        line: u64,
+        fill_done: Cycle,
+        prefetch: bool,
+        now: Cycle,
+        reuse: u32,
+    ) -> (bool, Option<Rule>) {
+        if let Some(w) = self.find(line) {
+            w.fill_done = w.fill_done.min(fill_done);
+            w.last_use = now;
+            w.reuse = w.reuse.max(reuse);
+            return (true, None);
+        }
+        let protect = self.policy == RetentionPolicy::ScoredReuse;
+        let set = self.set(line);
+        let (victim, rule) = if let Some(i) = set.iter().position(Option::is_none) {
+            (i, Rule::InvalidWay)
+        } else {
+            let ways: Vec<(usize, RefWay)> = set.iter().flatten().copied().enumerate().collect();
+            let filled: Vec<(usize, RefWay)> = ways
+                .iter()
+                .copied()
+                .filter(|(_, w)| w.fill_done <= now)
+                .collect();
+            let weakest = |c: &mut dyn Iterator<Item = (usize, RefWay)>| {
+                c.min_by_key(|(_, w)| (w.reuse, w.last_use))
+            };
+            let exhausted = filled
+                .iter()
+                .copied()
+                .filter(|(_, w)| w.reuse == 0)
+                .min_by_key(|(_, w)| w.last_use);
+            let evictable = weakest(
+                &mut filled
+                    .iter()
+                    .copied()
+                    .filter(|(_, w)| !(protect && w.prefetch && !w.demanded)),
+            );
+            match (exhausted, evictable, weakest(&mut filled.iter().copied())) {
+                (Some((i, _)), _, _) => (i, Rule::ExhaustedLru),
+                (None, Some((i, w)), _) if reuse > w.reuse => (i, Rule::BeatsWeakest),
+                (None, Some((i, _)), _) | (None, None, Some((i, _))) if protect => {
+                    if let Some(w) = set[i].as_mut() {
+                        w.reuse = w.reuse.saturating_sub(1);
+                    }
+                    self.rejected += 1;
+                    return (false, Some(Rule::Rejected));
+                }
+                (None, Some((i, _)), _) | (None, None, Some((i, _))) => (i, Rule::EvictWeakest),
+                (None, None, None) => {
+                    let lru = ways.iter().min_by_key(|(_, w)| w.last_use);
+                    (lru.map_or(0, |&(i, _)| i), Rule::AllMidFillLru)
+                }
+            }
+        };
+        set[victim] = Some(RefWay {
+            line,
+            fill_done,
+            last_use: now,
+            reuse,
+            prefetch,
+            demanded: false,
+        });
+        (true, Some(rule))
+    }
+}
+
+/// Property 5: under both scored policies, on any prefetch / demand /
+/// probe / refresh stream, `Cache` and the naive reference agree on
+/// every accept/reject, every probe outcome, the rejection count and
+/// the residency of every line after every op. Clock steps of 0 make
+/// equal keys common, so the first-minimum tie-breaks are exercised;
+/// every rule of the fill decision must fire somewhere in the run.
+#[test]
+fn scored_cache_matches_naive_reference() {
+    let mut rng = TestRng::from_name("scored_cache_matches_naive_reference");
+    for policy in [RetentionPolicy::ScoredReuse, RetentionPolicy::ScoredEvict] {
+        let mut fired = BTreeSet::new();
+        for case in 0..64 {
+            let ops: Vec<ScoredOp> = (0..1 + rng.below(300))
+                .map(|_| ScoredOp::random(&mut rng))
+                .collect();
+            for sets in [3, 4] {
+                let cfg = CacheConfig {
+                    name: "ref",
+                    size_bytes: sets * REF_WAYS * 64,
+                    ways: REF_WAYS,
+                    hit_latency: 3,
+                    mshr_entries: 8,
+                    policy,
+                };
+                let mut cache = Cache::new(cfg.clone());
+                let mut reference = RefScored::new(&cfg);
+                let mut now: Cycle = 0;
+                for (i, &op) in ops.iter().enumerate() {
+                    now += op.dt();
+                    let at = format!("{policy:?}, case {case}, {sets} sets, op {i} ({op:?})");
+                    match op {
+                        ScoredOp::Prefetch {
+                            line, delay, score, ..
+                        } => {
+                            let got = cache.install_speculative_scored(
+                                LineAddr::new(line),
+                                now + delay,
+                                now,
+                                0,
+                                score,
+                            );
+                            let (want, rule) =
+                                reference.install(line, now + delay, true, now, score);
+                            assert_eq!(got, want, "accept/reject at {at}");
+                            fired.extend(rule);
+                        }
+                        ScoredOp::Demand { line, delay, .. } => {
+                            cache.install(LineAddr::new(line), now + delay, false, now);
+                            let (_, rule) = reference.install(line, now + delay, false, now, 0);
+                            fired.extend(rule);
+                        }
+                        ScoredOp::Probe { line, demand, .. } => {
+                            let got = cache.probe(LineAddr::new(line), now, demand);
+                            assert_eq!(got, reference.probe(line, now, demand), "probe at {at}");
+                        }
+                        ScoredOp::Refresh { line, score, .. } => {
+                            cache.refresh_reuse(LineAddr::new(line), score);
+                            reference.refresh(line, score);
+                        }
+                    }
+                    assert_eq!(
+                        cache.stats().retention_rejected.get(),
+                        reference.rejected,
+                        "rejections at {at}"
+                    );
+                    for line in 0..REF_UNIVERSE {
+                        assert_eq!(
+                            cache.contains(LineAddr::new(line)),
+                            reference.contains(line),
+                            "line {line} residency at {at}"
+                        );
+                    }
+                }
+            }
+        }
+        // A scored NSB rejects where an always-admit level evicts.
+        let shrink_or_evict = if policy == RetentionPolicy::ScoredReuse {
+            Rule::Rejected
+        } else {
+            Rule::EvictWeakest
+        };
+        let expected = BTreeSet::from([
+            Rule::InvalidWay,
+            Rule::ExhaustedLru,
+            Rule::BeatsWeakest,
+            shrink_or_evict,
+            Rule::AllMidFillLru,
+        ]);
+        assert_eq!(fired, expected, "{policy:?}: rules the streams exercised");
+    }
+}
