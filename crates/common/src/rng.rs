@@ -203,15 +203,13 @@ impl Zipf {
     }
 
     /// Draws a rank in `[0, n)`; rank 0 is the most popular.
+    ///
+    /// The rank is the first CDF entry reaching the draw. The last entry
+    /// is exactly 1.0 (the total divided by itself) and draws lie in
+    /// `[0, 1)`, so some entry always reaches it.
     pub fn sample(&self, rng: &mut Pcg32) -> usize {
         let u = rng.gen_f64();
-        match self
-            .cdf
-            .binary_search_by(|probe| probe.partial_cmp(&u).expect("cdf is finite"))
-        {
-            Ok(i) => i,
-            Err(i) => i.min(self.cdf.len() - 1),
-        }
+        self.cdf.partition_point(|&c| c < u)
     }
 }
 
@@ -323,6 +321,26 @@ mod tests {
             low > draws / 4,
             "top-10 ranks got {low}/{draws}, expected heavy skew"
         );
+    }
+
+    #[test]
+    fn zipf_sample_matches_linear_scan() {
+        // Naive reference: the first rank whose CDF entry reaches the draw.
+        for (n, s) in [(1, 1.0), (5, 0.9), (512, 1.1), (1000, 1.2)] {
+            let zipf = Zipf::new(n, s);
+            assert_eq!(zipf.cdf[n - 1], 1.0, "CDF must end at exactly 1");
+            let mut rng = Pcg32::seed_from_u64(n as u64);
+            let mut draws = rng.clone();
+            for _ in 0..2000 {
+                let u = draws.gen_f64();
+                let want = zipf
+                    .cdf
+                    .iter()
+                    .position(|&c| c >= u)
+                    .expect("cdf ends at 1");
+                assert_eq!(zipf.sample(&mut rng), want, "n {n} s {s} u {u}");
+            }
+        }
     }
 
     #[test]

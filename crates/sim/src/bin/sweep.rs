@@ -300,10 +300,11 @@ fn run_grid(args: &Args) -> Result<(), String> {
         None => println!("{results}"),
     }
     eprintln!(
-        "[sweep] {} cells in {:.1} ms ({} jobs)",
+        "[sweep] {} cells in {:.1} ms ({} jobs; program build {:.1} ms)",
         results.cells.len(),
         results.wall.as_secs_f64() * 1e3,
-        args.jobs
+        args.jobs,
+        results.build.as_secs_f64() * 1e3
     );
     if let Some(path) = &args.timings {
         write_file(path, &results.timing_csv())?;

@@ -208,6 +208,9 @@ pub struct SweepResults {
     /// Worker count the sweep ran with (context for the timing CSV; never
     /// part of the deterministic outputs).
     pub jobs: usize,
+    /// Wall clock of the program-build phase (every distinct program
+    /// built, before any cell simulates).
+    pub build: Duration,
     /// End-to-end wall clock of the whole sweep.
     pub wall: Duration,
 }
@@ -356,7 +359,8 @@ impl SweepResults {
     /// leading `#` comment line records the worker count, the scale axis,
     /// and the git revision (`NVR_GIT_REV`, falling back to CI's
     /// `GITHUB_SHA`), so archived timing CSVs from different runs are
-    /// comparable.
+    /// comparable. After the per-cell rows, `build` is the program-build
+    /// phase and `total` the whole sweep.
     #[must_use]
     pub fn timing_csv(&self) -> String {
         let rev = std::env::var("NVR_GIT_REV")
@@ -383,6 +387,7 @@ impl SweepResults {
         for c in &self.cells {
             out.push_str(&format!("{},{}\n", c.job.key(), c.wall.as_micros()));
         }
+        out.push_str(&format!("build,{}\n", self.build.as_micros()));
         out.push_str(&format!("total,{}\n", self.wall.as_micros()));
         out
     }
@@ -506,6 +511,7 @@ pub fn run_sweep(spec: &SweepSpec, jobs: usize) -> SweepResults {
         })
         .collect();
     let programs = pool::run_ordered(builders, jobs);
+    let build = t0.elapsed();
     let tasks: Vec<_> = grid
         .into_iter()
         .zip(prog_idx)
@@ -530,6 +536,7 @@ pub fn run_sweep(spec: &SweepSpec, jobs: usize) -> SweepResults {
     SweepResults {
         cells,
         jobs,
+        build,
         wall: t0.elapsed(),
     }
 }
@@ -628,6 +635,12 @@ mod tests {
         // first line is a `#` comment).
         let timing = serial.timing_csv();
         let (_, timing) = timing.split_once('\n').expect("comment line");
+        let rows: Vec<&str> = timing.lines().collect();
+        assert!(rows[rows.len() - 2].starts_with("build,"), "{timing}");
+        assert!(
+            serial.build <= serial.wall,
+            "the build phase is part of the sweep"
+        );
         for csv in [a.as_str(), timing] {
             let mut lines = csv.lines();
             let columns = lines.next().expect("header").split(',').count();

@@ -137,33 +137,31 @@ impl VoxelHashTable {
             (self.len + 1) as f64 <= self.buckets.len() as f64 * 0.9,
             "voxel table over 90% load; size it larger up front"
         );
-        let mut i = key.hash() & self.mask;
-        loop {
-            match &mut self.buckets[i as usize] {
-                Some((k, s)) if *k == key => {
-                    let prev = *s;
-                    *s = slot;
-                    return Some(prev);
-                }
-                Some(_) => i = (i + 1) & self.mask,
-                empty @ None => {
-                    *empty = Some((key, slot));
-                    self.len += 1;
-                    return None;
-                }
-            }
+        let (bucket, prev) = self.probe(key);
+        self.buckets[bucket] = Some((key, slot));
+        if prev.is_none() {
+            self.len += 1;
         }
+        prev
     }
 
     /// Looks up the slot stored for `key`.
     #[must_use]
     pub fn lookup(&self, key: VoxelKey) -> Option<u32> {
+        self.probe(key).1
+    }
+
+    /// One lookup for `key`: the terminating bucket (the last entry of
+    /// [`VoxelHashTable::probe_path`]) and the slot stored there, `None`
+    /// when the bucket is empty.
+    #[must_use]
+    pub fn probe(&self, key: VoxelKey) -> (usize, Option<u32>) {
         let mut i = key.hash() & self.mask;
         loop {
             match &self.buckets[i as usize] {
-                Some((k, s)) if *k == key => return Some(*s),
+                Some((k, s)) if *k == key => return (i as usize, Some(*s)),
                 Some(_) => i = (i + 1) & self.mask,
-                None => return None,
+                None => return (i as usize, None),
             }
         }
     }
@@ -278,6 +276,29 @@ mod tests {
         assert!(probes >= keys.len());
         assert!(keys.iter().all(|&k| table.lookup(k).is_some()));
         let _ = t.insert(VoxelKey::new(0, 0, 0), 0);
+    }
+
+    #[test]
+    fn probe_matches_probe_walk_and_linear_search() {
+        // 88% load: long collision chains for present and absent keys.
+        let mut table = VoxelHashTable::with_capacity(512);
+        let keys: Vec<VoxelKey> = (0..450).map(|i| VoxelKey::new(i % 20, i / 20, 3)).collect();
+        for (slot, &key) in keys.iter().enumerate() {
+            table.insert(key, slot as u32);
+        }
+        let absent = (0..400).map(|i| VoxelKey::new(i, -1 - i, 7));
+        let mut longest = 0;
+        for key in keys.iter().copied().chain(absent) {
+            let path = table.probe_path(key);
+            longest = longest.max(path.len());
+            let want_slot = keys.iter().position(|&k| k == key).map(|i| i as u32);
+            assert_eq!(
+                table.probe(key),
+                (path[path.len() - 1], want_slot),
+                "{key:?}"
+            );
+        }
+        assert!(longest > 8, "the table must exercise long probe chains");
     }
 
     #[test]

@@ -115,6 +115,13 @@ impl MemoryImage {
         self.segments.iter().map(|(_, d)| d.len() as u64 * 4).sum()
     }
 
+    /// The installed segments as `(base, words)`, in address order.
+    pub fn segments(&self) -> impl Iterator<Item = (Addr, &[u32])> {
+        self.segments
+            .iter()
+            .map(|(b, d)| (Addr::new(*b), d.as_slice()))
+    }
+
     fn lookup(&self, addr: Addr) -> Option<u32> {
         let idx = self.segments.partition_point(|&(b, _)| b <= addr.raw());
         let (base, data) = self.segments.get(idx.wrapping_sub(1))?;

@@ -50,24 +50,26 @@ pub fn build_with_ratio(spec: &WorkloadSpec, keep_ratio: usize) -> NpuProgram {
     let window = SEQ_LEN / 4;
     let k = (window / keep_ratio).max(1);
 
+    let mut chosen = KeySet::default();
     let sketches = (0..steps)
         .map(|step| {
-            let mut chosen = std::collections::BTreeSet::new();
             if keep_ratio == 1 {
                 // Dense: the full contiguous window (sequential gathers).
                 let base = (step * 64) % (SEQ_LEN - window);
-                chosen.extend((base as u32)..(base + window) as u32);
+                for key in base..base + window {
+                    chosen.insert(key);
+                }
             }
-            while chosen.len() < k {
+            while chosen.len < k {
                 let key = if rng.gen_bool(HOT_FRACTION) {
-                    zipf.sample(&mut rng) as u32
+                    zipf.sample(&mut rng)
                 } else {
-                    rng.gen_range(SEQ_LEN as u64) as u32
+                    rng.gen_index(SEQ_LEN)
                 };
                 chosen.insert(key);
             }
             // Top-k lists are stored sorted (CSR-like index list).
-            let indices: Vec<u32> = chosen.into_iter().collect();
+            let indices = chosen.drain_sorted();
             // Attention: QK^T scores pipeline with AV accumulation
             // through the array (one pass over the k gathered rows).
             let compute = sa.sparse_mac_cycles(indices.len(), HEAD_DIM);
@@ -93,6 +95,48 @@ pub fn build_with_ratio(spec: &WorkloadSpec, keep_ratio: usize) -> NpuProgram {
     )
 }
 
+/// The keys selected in one decode step: one bit per KV-cache row plus
+/// a count, reused across steps so selection allocates nothing beyond the
+/// index list it emits.
+struct KeySet {
+    bits: [u64; SEQ_LEN / 64],
+    len: usize,
+}
+
+impl Default for KeySet {
+    fn default() -> Self {
+        KeySet {
+            bits: [0; SEQ_LEN / 64],
+            len: 0,
+        }
+    }
+}
+
+impl KeySet {
+    /// Adds `key` (a row below `SEQ_LEN`) if it is not yet selected.
+    fn insert(&mut self, key: usize) {
+        let (word, mask) = (key / 64, 1u64 << (key % 64));
+        if self.bits[word] & mask == 0 {
+            self.bits[word] |= mask;
+            self.len += 1;
+        }
+    }
+
+    /// The selected keys in ascending order; leaves the set empty.
+    fn drain_sorted(&mut self) -> Vec<u32> {
+        let mut out = Vec::with_capacity(self.len);
+        for (w, word) in self.bits.iter_mut().enumerate() {
+            let mut bits = std::mem::take(word);
+            while bits != 0 {
+                out.push((w * 64) as u32 + bits.trailing_zeros());
+                bits &= bits - 1;
+            }
+        }
+        self.len = 0;
+        out
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -106,6 +150,48 @@ mod tests {
             assert_eq!(v.len(), TOP_K);
             assert!(v.windows(2).all(|w| w[0] < w[1]), "unsorted/duplicated");
             assert!(v.iter().all(|&k| (k as usize) < SEQ_LEN));
+        }
+    }
+
+    /// Naive reference selection: a fresh `BTreeSet` per step.
+    fn reference_selections(spec: &WorkloadSpec, keep_ratio: usize) -> Vec<Vec<u32>> {
+        let mut rng = Pcg32::seed_with_stream(spec.seed, 0xD5);
+        let zipf = Zipf::new(HOT_SET, 1.1);
+        let window = SEQ_LEN / 4;
+        let k = (window / keep_ratio).max(1);
+        (0..STEPS * spec.scale.tile_factor())
+            .map(|step| {
+                let mut chosen = std::collections::BTreeSet::new();
+                if keep_ratio == 1 {
+                    let base = (step * 64) % (SEQ_LEN - window);
+                    chosen.extend((base as u32)..(base + window) as u32);
+                }
+                while chosen.len() < k {
+                    let key = if rng.gen_bool(HOT_FRACTION) {
+                        zipf.sample(&mut rng) as u32
+                    } else {
+                        rng.gen_range(SEQ_LEN as u64) as u32
+                    };
+                    chosen.insert(key);
+                }
+                chosen.into_iter().collect()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn selection_matches_btreeset_reference() {
+        for seed in [1, 2025, 0xFEED] {
+            let spec = WorkloadSpec::tiny(DataWidth::Fp16, seed);
+            for keep_ratio in [1, 2, 16, 512, 4096] {
+                let p = build_with_ratio(&spec, keep_ratio);
+                let got: Vec<Vec<u32>> = p.tiles.iter().map(|t| t.index_values(&p.image)).collect();
+                assert_eq!(
+                    got,
+                    reference_selections(&spec, keep_ratio),
+                    "seed {seed} keep_ratio {keep_ratio}"
+                );
+            }
         }
     }
 

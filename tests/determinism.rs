@@ -632,3 +632,107 @@ fn optimised_hot_paths_match_seed_fingerprints() {
     }
     assert_eq!(idx, GOLDEN.len(), "every golden row must be exercised");
 }
+
+/// FNV-1a over 64-bit words: a stable digest of a program's tiles and
+/// memory image.
+fn program_digest(program: &NpuProgram) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut mix = |w: u64| {
+        for b in w.to_le_bytes() {
+            h ^= u64::from(b);
+            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    };
+    mix(program.tiles.len() as u64);
+    for t in &program.tiles {
+        mix(t.id as u64);
+        mix(t.index_region.start().raw());
+        mix(t.index_region.bytes());
+        match t.gather {
+            None => mix(0),
+            Some(g) => {
+                match g.func {
+                    SparseFunc::Affine { ia_base, row_bytes } => {
+                        mix(1);
+                        mix(ia_base.raw());
+                        mix(row_bytes);
+                    }
+                    SparseFunc::TableLookup {
+                        table_base,
+                        ia_base,
+                        row_bytes,
+                    } => {
+                        mix(2);
+                        mix(table_base.raw());
+                        mix(ia_base.raw());
+                        mix(row_bytes);
+                    }
+                }
+                mix(g.batch as u64);
+            }
+        }
+        mix(t.dma_bytes);
+        mix(t.compute_cycles);
+        mix(t.store_bytes);
+    }
+    for (base, words) in program.image.segments() {
+        mix(base.raw());
+        mix(words.len() as u64);
+        for &w in words {
+            mix(u64::from(w));
+        }
+    }
+    h
+}
+
+/// Program fingerprints: a digest of every tile field and every image
+/// word per workload. The simulation fingerprints above can mask a builder
+/// drift (a changed index that happens to hit the same lines); this table
+/// cannot. Captured before the builders were rewritten for speed (the
+/// allocation-free R-MAT, DS and voxel-hash paths), which must reproduce
+/// every program bit for bit.
+#[test]
+fn program_digests_match_pinned() {
+    const GOLDEN: &[(Scale, &str, u64)] = &[
+        (Scale::Tiny, "DS", 0x3ce2_6181_dbe3_4748),
+        (Scale::Tiny, "GAT", 0xe1f4_61e0_30b7_1435),
+        (Scale::Tiny, "GCN", 0x0f39_061c_4032_564f),
+        (Scale::Tiny, "GSABT", 0xf6d1_9df7_8978_211a),
+        (Scale::Tiny, "H2O", 0x9dff_ac82_7370_65a3),
+        (Scale::Tiny, "MK", 0x4446_8f03_45d6_83cd),
+        (Scale::Tiny, "SCN", 0xbec2_2dc5_8e1a_1b20),
+        (Scale::Tiny, "ST", 0x83b1_718b_f6d0_84a5),
+        (Scale::Default, "DS", 0x4bc1_64b5_4f9d_9ff4),
+        (Scale::Default, "GAT", 0x9909_20d2_e79e_7adb),
+        (Scale::Default, "GCN", 0x65de_cf7c_8fce_1278),
+        (Scale::Default, "GSABT", 0xaf96_857a_d170_9338),
+        (Scale::Default, "H2O", 0x46f5_799b_560b_506e),
+        (Scale::Default, "MK", 0x2dce_5e02_2273_b04c),
+        (Scale::Default, "SCN", 0x00dd_46f6_b129_1d52),
+        (Scale::Default, "ST", 0x63c3_b651_03eb_9a95),
+    ];
+    let mut idx = 0;
+    for scale in [Scale::Tiny, Scale::Default] {
+        for workload in WorkloadId::ALL {
+            let spec = WorkloadSpec {
+                width: DataWidth::Fp16,
+                seed: 2025,
+                scale,
+                order: TileOrder::Natural,
+            };
+            let got = (
+                scale,
+                workload.short(),
+                program_digest(&workload.build(&spec)),
+            );
+            assert_eq!(
+                got,
+                GOLDEN[idx],
+                "{scale} {} program drifted",
+                workload.short()
+            );
+            idx += 1;
+        }
+    }
+    assert_eq!(idx, GOLDEN.len(), "every golden row must be exercised");
+}
