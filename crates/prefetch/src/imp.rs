@@ -36,16 +36,93 @@ const UNLOCK_AFTER: u32 = 8;
 /// Lines of index stream prefetched ahead.
 const STREAM_DEGREE: u64 = 4;
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Buckets of the candidate table's counting filter.
+const FILTER_BUCKETS: usize = 256;
+
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 struct Mapping {
     base: u64,
     shift: u32,
 }
 
-#[derive(Debug, Clone, Copy)]
+impl Mapping {
+    /// The counting-filter bucket: a fixed multiplicative hash, top byte.
+    fn bucket(self) -> usize {
+        let mixed =
+            (self.base.rotate_left(4) ^ u64::from(self.shift)).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        (mixed >> 56) as usize
+    }
+}
+
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 struct Candidate {
     mapping: Mapping,
     hits: u32,
+}
+
+/// The learning table: the `CANDIDATES` most recently inserted mappings,
+/// evicted first-in first-out, with unique mappings.
+///
+/// A fixed ring replaces the oldest slot in place, and a counting filter
+/// (entries per hash bucket; at most `CANDIDATES`, so a byte suffices)
+/// answers most lookups without a scan: a zero bucket proves the mapping
+/// is absent.
+#[derive(Debug, Clone)]
+struct CandidateTable {
+    slots: [Candidate; CANDIDATES],
+    len: usize,
+    /// Once full, the oldest slot: the next one replaced.
+    next: usize,
+    filter: [u8; FILTER_BUCKETS],
+}
+
+impl CandidateTable {
+    fn new() -> Self {
+        CandidateTable {
+            slots: [Candidate::default(); CANDIDATES],
+            len: 0,
+            next: 0,
+            filter: [0; FILTER_BUCKETS],
+        }
+    }
+
+    fn find_mut(&mut self, mapping: Mapping) -> Option<&mut Candidate> {
+        if self.filter[mapping.bucket()] == 0 {
+            return None;
+        }
+        self.slots[..self.len]
+            .iter_mut()
+            .find(|c| c.mapping == mapping)
+    }
+
+    /// Inserts an absent `mapping` with one hit, evicting the oldest entry
+    /// when full.
+    fn insert(&mut self, mapping: Mapping) {
+        let slot = if self.len < CANDIDATES {
+            self.len += 1;
+            self.len - 1
+        } else {
+            let slot = self.next;
+            self.next = (slot + 1) % CANDIDATES;
+            self.filter[self.slots[slot].mapping.bucket()] -= 1;
+            slot
+        };
+        self.slots[slot] = Candidate { mapping, hits: 1 };
+        self.filter[mapping.bucket()] += 1;
+    }
+
+    fn clear(&mut self) {
+        self.len = 0;
+        self.next = 0;
+        self.filter = [0; FILTER_BUCKETS];
+    }
+
+    /// The entries oldest first.
+    #[cfg(test)]
+    fn in_order(&self) -> Vec<Candidate> {
+        let (newer, older) = self.slots[..self.len].split_at(self.next);
+        older.iter().chain(newer).copied().collect()
+    }
 }
 
 /// The IMP prefetcher.
@@ -66,7 +143,7 @@ pub struct ImpPrefetcher {
     /// buffer: one arrives per index load, so evicting the oldest must not
     /// shift the other 31.
     recent_values: VecDeque<u32>,
-    candidates: Vec<Candidate>,
+    candidates: CandidateTable,
     locked: Option<Mapping>,
     mismatches: u32,
 }
@@ -78,6 +155,24 @@ impl ImpPrefetcher {
         self.locked.map(|m| (m.base, m.shift))
     }
 
+    /// Remembers an index value for correlation learning.
+    fn record_value(&mut self, value: u32) {
+        self.recent_values.push_back(value);
+        if self.recent_values.len() > 32 {
+            self.recent_values.pop_front();
+        }
+    }
+
+    /// A gather missed at `addr`: checks the locked mapping, or learns
+    /// from the miss when unlocked.
+    fn on_missed_gather(&mut self, addr: Addr) {
+        if self.locked.is_some() {
+            self.verify(addr);
+        } else {
+            self.learn(addr);
+        }
+    }
+
     fn learn(&mut self, miss_addr: Addr) {
         for &v in self.recent_values.iter().rev().take(2) {
             for shift in 0..=MAX_SHIFT {
@@ -86,7 +181,7 @@ impl ImpPrefetcher {
                     continue;
                 };
                 let mapping = Mapping { base, shift };
-                if let Some(c) = self.candidates.iter_mut().find(|c| c.mapping == mapping) {
+                if let Some(c) = self.candidates.find_mut(mapping) {
                     c.hits += 1;
                     if c.hits >= 2 && shift > 0 {
                         self.locked = Some(mapping);
@@ -94,10 +189,7 @@ impl ImpPrefetcher {
                         return;
                     }
                 } else {
-                    if self.candidates.len() == CANDIDATES {
-                        self.candidates.remove(0);
-                    }
-                    self.candidates.push(Candidate { mapping, hits: 1 });
+                    self.candidates.insert(mapping);
                 }
             }
         }
@@ -129,7 +221,7 @@ impl Default for ImpPrefetcher {
         ImpPrefetcher {
             index_stride: StrideEntry::new(),
             recent_values: VecDeque::with_capacity(33),
-            candidates: Vec::new(),
+            candidates: CandidateTable::new(),
             locked: None,
             mismatches: 0,
         }
@@ -151,10 +243,7 @@ impl Prefetcher for ImpPrefetcher {
         match event.kind {
             EventKind::IndexLoad { value } => {
                 self.index_stride.update(event.addr);
-                self.recent_values.push_back(value);
-                if self.recent_values.len() > 32 {
-                    self.recent_values.pop_front();
-                }
+                self.record_value(value);
                 // Stream part: keep the index array itself flowing.
                 if let Some(pred) = self.index_stride.predict(1) {
                     for k in 0..STREAM_DEGREE {
@@ -175,13 +264,7 @@ impl Prefetcher for ImpPrefetcher {
                     }
                 }
             }
-            EventKind::GatherLoad if event.missed => {
-                if self.locked.is_some() {
-                    self.verify(event.addr);
-                } else {
-                    self.learn(event.addr);
-                }
-            }
+            EventKind::GatherLoad if event.missed => self.on_missed_gather(event.addr),
             _ => {}
         }
     }
@@ -329,6 +412,139 @@ mod tests {
             );
         }
         assert_eq!(p.locked_mapping(), None);
+    }
+
+    /// The candidate table as a plain `Vec`, scanned linearly and evicted
+    /// with `remove(0)`: the reference the ring and filter must match.
+    #[derive(Default)]
+    struct VecImp {
+        recent_values: VecDeque<u32>,
+        candidates: Vec<Candidate>,
+        locked: Option<Mapping>,
+        mismatches: u32,
+    }
+
+    impl VecImp {
+        fn record_value(&mut self, value: u32) {
+            self.recent_values.push_back(value);
+            if self.recent_values.len() > 32 {
+                self.recent_values.pop_front();
+            }
+        }
+
+        fn on_missed_gather(&mut self, miss_addr: Addr) {
+            let Some(m) = self.locked else {
+                self.learn(miss_addr);
+                return;
+            };
+            let predicted = self
+                .recent_values
+                .iter()
+                .rev()
+                .take(8)
+                .any(|&v| m.base + (u64::from(v) << m.shift) == miss_addr.raw());
+            if predicted {
+                self.mismatches = 0;
+            } else {
+                self.mismatches += 1;
+                if self.mismatches >= UNLOCK_AFTER {
+                    self.locked = None;
+                    self.candidates.clear();
+                    self.mismatches = 0;
+                }
+            }
+        }
+
+        fn learn(&mut self, miss_addr: Addr) {
+            for &v in self.recent_values.iter().rev().take(2) {
+                for shift in 0..=MAX_SHIFT {
+                    let scaled = u64::from(v) << shift;
+                    let Some(base) = miss_addr.raw().checked_sub(scaled) else {
+                        continue;
+                    };
+                    let mapping = Mapping { base, shift };
+                    if let Some(c) = self.candidates.iter_mut().find(|c| c.mapping == mapping) {
+                        c.hits += 1;
+                        if c.hits >= 2 && shift > 0 {
+                            self.locked = Some(mapping);
+                            self.mismatches = 0;
+                            return;
+                        }
+                    } else {
+                        if self.candidates.len() == CANDIDATES {
+                            self.candidates.remove(0);
+                        }
+                        self.candidates.push(Candidate { mapping, hits: 1 });
+                    }
+                }
+            }
+        }
+    }
+
+    /// The ring-and-filter table matches the `Vec` reference event for
+    /// event on random streams: affine phases at every shift (which lock,
+    /// except shift 0), non-affine phases (which fill and churn the table,
+    /// and unlock a locked mapping), a small address space where unrelated
+    /// candidates collide, and index values larger than the miss address
+    /// (whose bases underflow and are skipped).
+    #[test]
+    fn candidate_table_matches_vec_reference() {
+        let mut locks = 0;
+        let mut unlocks = 0;
+        for seed in 1..=4 {
+            let mut rng = nvr_common::Pcg32::seed_from_u64(seed);
+            let mut imp = ImpPrefetcher::default();
+            let mut reference = VecImp::default();
+            for _phase in 0..120 {
+                let mode = rng.gen_range(4);
+                let base = 0x100_0000 + rng.gen_range(1 << 24);
+                let shift = rng.gen_range(u64::from(MAX_SHIFT) + 1);
+                for _ in 0..rng.gen_range(200) {
+                    let (value, addr) = match mode {
+                        // Affine; an occasional stray miss in between.
+                        0 => {
+                            let v = rng.gen_range(4096);
+                            let stray = rng.gen_range(8) == 0;
+                            let addr = if stray {
+                                rng.gen_range(1 << 30)
+                            } else {
+                                base + (v << shift)
+                            };
+                            (v, addr)
+                        }
+                        // Non-affine: target unrelated to the value.
+                        1 => (rng.gen_range(4096), base + rng.gen_range(1 << 20)),
+                        // Tiny values and addresses: candidates recur.
+                        2 => (rng.gen_range(8), rng.gen_range(64)),
+                        // Values above the miss address: bases underflow.
+                        _ => (rng.gen_range(1 << 20), rng.gen_range(4096)),
+                    };
+                    let was_locked = imp.locked.is_some();
+                    if rng.gen_range(4) != 0 {
+                        imp.record_value(value as u32);
+                        reference.record_value(value as u32);
+                    }
+                    imp.on_missed_gather(Addr::new(addr));
+                    reference.on_missed_gather(Addr::new(addr));
+                    assert_eq!(imp.locked, reference.locked, "seed {seed}");
+                    assert_eq!(imp.mismatches, reference.mismatches, "seed {seed}");
+                    assert_eq!(
+                        imp.candidates.in_order(),
+                        reference.candidates,
+                        "seed {seed}"
+                    );
+                    match (was_locked, imp.locked.is_some()) {
+                        (false, true) => locks += 1,
+                        (true, false) => unlocks += 1,
+                        _ => {}
+                    }
+                }
+            }
+        }
+        assert!(
+            locks > 20 && unlocks > 20,
+            "{locks} locks, {unlocks} unlocks"
+        );
     }
 
     #[test]

@@ -300,8 +300,9 @@ fn run_grid(args: &Args) -> Result<(), String> {
         None => println!("{results}"),
     }
     eprintln!(
-        "[sweep] {} cells in {:.1} ms ({} jobs; program build {:.1} ms)",
+        "[sweep] {} cells, {} ideal runs in {:.1} ms ({} jobs; program build {:.1} ms)",
         results.cells.len(),
+        results.ideal_runs,
         results.wall.as_secs_f64() * 1e3,
         args.jobs,
         results.build.as_secs_f64() * 1e3

@@ -35,5 +35,5 @@ pub mod sweep;
 
 pub use metrics::{coverage, geometric_mean, pollution, timeliness_split};
 pub use report::Table;
-pub use runner::{run_system, RunOutcome, SystemKind};
+pub use runner::{ideal_base_cycles, run_system, RunOutcome, SystemKind};
 pub use sweep::{run_sweep, SweepJob, SweepResults, SweepSpec};

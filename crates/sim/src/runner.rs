@@ -200,24 +200,62 @@ pub fn run_system_tuned(
     system: SystemKind,
     nsb_admit: Option<u32>,
 ) -> RunOutcome {
+    let base_cycles = ideal_base_cycles(program, system, mem_cfg);
+    run_timed(program, mem_cfg, system, nsb_admit, base_cycles)
+}
+
+/// The timed half of [`run_system_tuned`], paired with an already known
+/// [`ideal_base_cycles`] result.
+pub(crate) fn run_timed(
+    program: &NpuProgram,
+    mem_cfg: &MemoryConfig,
+    system: SystemKind,
+    nsb_admit: Option<u32>,
+    base_cycles: Cycle,
+) -> RunOutcome {
     let engine = NpuEngine::new(system.npu_config());
     let mem_cfg = system.effective_mem_cfg(mem_cfg);
-
     let mut mem = MemorySystem::new(mem_cfg.clone());
     let mut prefetcher = system.prefetcher(&mem_cfg, nsb_admit);
     let result = engine.run(program, &mut mem, prefetcher.as_mut());
     prefetcher.finalize_run(&mut mem);
     let timeliness = prefetcher.timeliness();
-
-    let mut ideal = MemorySystem::ideal(mem_cfg);
-    let base = engine.run(program, &mut ideal, &mut NullPrefetcher::new());
-
     RunOutcome {
         system,
         result,
-        base_cycles: base.total_cycles,
+        base_cycles,
         timeliness,
     }
+}
+
+/// What an ideal-memory run of a program reads besides the program: the
+/// engine configuration and the all-hit demand latency. Ideal memory
+/// answers every demand at [`MemoryConfig::min_demand_latency`] without a
+/// miss, DMA and stores complete at once, and the paired run prefetches
+/// nothing, so caches, policies, the NSB's size and the DRAM channels
+/// cannot move its cycle count.
+pub(crate) fn ideal_key(system: SystemKind, mem_cfg: &MemoryConfig) -> (NpuConfig, Cycle) {
+    (
+        system.npu_config(),
+        system.effective_mem_cfg(mem_cfg).min_demand_latency(),
+    )
+}
+
+/// Wall clock of `program` under `system`'s engine against an all-hit
+/// memory system: Fig. 5's base segment, the `base_cycles` of
+/// [`run_system`]. Depends on `mem_cfg` only through the effective
+/// configuration's [`MemoryConfig::min_demand_latency`].
+#[must_use]
+pub fn ideal_base_cycles(
+    program: &NpuProgram,
+    system: SystemKind,
+    mem_cfg: &MemoryConfig,
+) -> Cycle {
+    let engine = NpuEngine::new(system.npu_config());
+    let mut ideal = MemorySystem::ideal(system.effective_mem_cfg(mem_cfg));
+    engine
+        .run(program, &mut ideal, &mut NullPrefetcher::new())
+        .total_cycles
 }
 
 #[cfg(test)]
@@ -243,6 +281,57 @@ mod tests {
                 o.result.total_cycles
             );
         }
+    }
+
+    /// The ideal run reads the memory configuration only through the
+    /// demand hit latency: configurations that share it (and the engine
+    /// configuration) but differ in L2 geometry or policy, NSB size or
+    /// policy, DRAM channels or latency give the same base cycles, which is
+    /// what lets the sweep share one ideal run per key.
+    #[test]
+    fn ideal_run_depends_only_on_its_key() {
+        use nvr_mem::{CacheConfig, DramConfig, RetentionPolicy};
+        let l2 = CacheConfig::l2_default();
+        let dram = DramConfig::default();
+        let plain = [
+            MemoryConfig::default(),
+            MemoryConfig::default().with_l2(l2.clone().with_size(l2.size_bytes / 4)),
+            MemoryConfig::default().with_l2(l2.clone().with_ways(4)),
+            MemoryConfig::default().with_l2(l2.with_policy(RetentionPolicy::ScoredEvict)),
+            MemoryConfig::default().with_dram(dram.clone().with_channels(2)),
+            MemoryConfig::default().with_dram(DramConfig {
+                latency: dram.latency * 3,
+                ..dram
+            }),
+        ];
+        let with_nsb = [
+            nvr_core::nsb_config(4),
+            nvr_core::nsb_config(8),
+            nvr_core::nsb_scored(16),
+            nvr_core::nsb_config(32),
+        ]
+        .map(|nsb| MemoryConfig::default().with_nsb(nsb));
+        let configs: Vec<MemoryConfig> = plain.into_iter().chain(with_nsb).collect();
+        let mut shared = 0;
+        for workload in [WorkloadId::Ds, WorkloadId::Mk, WorkloadId::Gcn] {
+            let p = workload.build(&WorkloadSpec::tiny(DataWidth::Int8, 2));
+            for system in SystemKind::ALL {
+                let mut seen: Vec<((NpuConfig, Cycle), Cycle)> = Vec::new();
+                for cfg in &configs {
+                    let key = ideal_key(system, cfg);
+                    let cycles = ideal_base_cycles(&p, system, cfg);
+                    match seen.iter().find(|(k, _)| *k == key) {
+                        Some(&(_, first)) => {
+                            shared += 1;
+                            assert_eq!(cycles, first, "{workload:?} {}: {cfg:?}", system.label());
+                        }
+                        None => seen.push((key, cycles)),
+                    }
+                }
+            }
+        }
+        // Every system shares at least 8 of its 10 configurations' runs.
+        assert!(shared >= 3 * 7 * 8, "{shared} shared ideal runs");
     }
 
     #[test]

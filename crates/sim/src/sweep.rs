@@ -5,9 +5,10 @@
 //! widths x seeds. This module names that shape ([`SweepSpec`] /
 //! [`SweepJob`]), fans it out over a fixed std-only thread pool
 //! ([`pool`]), and collects the outcomes into a keyed, timed
-//! [`SweepResults`] table. Jobs are fully self-contained (each builds its
-//! own program from the seed), so a sweep at `jobs = N` is bit-identical
-//! to `jobs = 1` — the precondition for trusting parallel regeneration.
+//! [`SweepResults`] table. Every cell's result is a pure function of its
+//! job (programs and ideal runs are shared only between cells whose inputs
+//! are equal), so a sweep at `jobs = N` is bit-identical to `jobs = 1` —
+//! the precondition for trusting parallel regeneration.
 //!
 //! Figure drivers whose runs are not plain grid cells (custom programs,
 //! per-cell prefetcher configs) fan out through [`run_batch`] instead,
@@ -33,16 +34,16 @@
 pub mod pool;
 
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
-use nvr_common::DataWidth;
+use nvr_common::{Cycle, DataWidth};
 use nvr_mem::MemoryConfig;
-use nvr_trace::NpuProgram;
+use nvr_npu::NpuConfig;
 use nvr_workloads::{Scale, TileOrder, WorkloadId, WorkloadSpec};
 
 use crate::report::{fmt3, Table};
-use crate::runner::{run_system_tuned, RunOutcome, SystemKind};
+use crate::runner::{ideal_base_cycles, ideal_key, run_timed, RunOutcome, SystemKind};
 
 /// Seed the experiment harnesses default to: `sweep`'s figures mode and
 /// the `perf` grid.
@@ -164,28 +165,6 @@ impl SweepJob {
             self.seed
         )
     }
-
-    /// Runs the cell: builds the program from the seed and simulates it.
-    #[must_use]
-    pub fn run(&self) -> RunOutcome {
-        let spec = WorkloadSpec {
-            width: self.width,
-            seed: self.seed,
-            scale: self.scale,
-            order: self.order,
-        };
-        let program = self.workload.build(&spec);
-        self.run_with_program(&program)
-    }
-
-    /// Runs the cell against a pre-built `program` (which must be the
-    /// job's own (workload, scale, order, width, seed) build). The sweep
-    /// uses this to build each unique program once and share it across the
-    /// system axis instead of regenerating it per cell.
-    #[must_use]
-    pub fn run_with_program(&self, program: &NpuProgram) -> RunOutcome {
-        run_system_tuned(program, &self.mem_cfg, self.system, self.nsb_admit)
-    }
 }
 
 /// One finished cell: the job, its outcome, and how long it took on the
@@ -196,7 +175,9 @@ pub struct SweepCell {
     pub job: SweepJob,
     /// Its simulation outcome.
     pub outcome: RunOutcome,
-    /// Host wall-clock time of the cell.
+    /// Host wall-clock time of the cell: its timed run, plus the paired
+    /// ideal-memory run when this cell was the first to need it (later
+    /// cells of the same program, engine mode and hit latency reuse it).
     pub wall: Duration,
 }
 
@@ -211,6 +192,9 @@ pub struct SweepResults {
     /// Wall clock of the program-build phase (every distinct program
     /// built, before any cell simulates).
     pub build: Duration,
+    /// Ideal-memory runs the sweep performed: one per distinct (program,
+    /// engine mode, demand hit latency) among its cells.
+    pub ideal_runs: usize,
     /// End-to-end wall clock of the whole sweep.
     pub wall: Duration,
 }
@@ -359,8 +343,10 @@ impl SweepResults {
     /// leading `#` comment line records the worker count, the scale axis,
     /// and the git revision (`NVR_GIT_REV`, falling back to CI's
     /// `GITHUB_SHA`), so archived timing CSVs from different runs are
-    /// comparable. After the per-cell rows, `build` is the program-build
-    /// phase and `total` the whole sweep.
+    /// comparable. A cell's time includes the paired ideal-memory run only
+    /// when it was the first cell to need that run (see [`SweepCell::wall`]).
+    /// After the per-cell rows, `build` is the program-build phase and
+    /// `total` the whole sweep.
     #[must_use]
     pub fn timing_csv(&self) -> String {
         let rev = std::env::var("NVR_GIT_REV")
@@ -478,6 +464,11 @@ impl fmt::Display for SweepResults {
 /// per (workload, scale, order, width, seed) point — builds are pure
 /// functions of those axes, so sharing is output-invariant, and on the
 /// full seven-system grid it removes six of every seven builds.
+///
+/// So is the paired ideal-memory run: its cycle count depends only on the
+/// program, the engine configuration and the demand hit latency (see
+/// [`ideal_base_cycles`]), so each distinct triple runs once, inside the
+/// first cell that needs it, and later cells reuse the value.
 #[must_use]
 pub fn run_sweep(spec: &SweepSpec, jobs: usize) -> SweepResults {
     #[expect(
@@ -486,16 +477,16 @@ pub fn run_sweep(spec: &SweepSpec, jobs: usize) -> SweepResults {
     )]
     let t0 = Instant::now();
     let grid = spec.jobs();
-    // Map every job to its unique program point, in first-encounter order.
+    // Map every job to its unique program point and its ideal-run key, in
+    // first-encounter order.
     let mut unique: Vec<(WorkloadId, Scale, TileOrder, DataWidth, u64)> = Vec::new();
-    let mut prog_idx = Vec::with_capacity(grid.len());
+    let mut ideal_keys: Vec<(usize, (NpuConfig, Cycle))> = Vec::new();
+    let mut indices = Vec::with_capacity(grid.len());
     for job in &grid {
         let key = (job.workload, job.scale, job.order, job.width, job.seed);
-        let idx = unique.iter().position(|&k| k == key).unwrap_or_else(|| {
-            unique.push(key);
-            unique.len() - 1
-        });
-        prog_idx.push(idx);
+        let prog = first_index(&mut unique, key);
+        let base = first_index(&mut ideal_keys, (prog, ideal_key(job.system, &job.mem_cfg)));
+        indices.push((prog, base));
     }
     let builders: Vec<_> = unique
         .into_iter()
@@ -512,18 +503,28 @@ pub fn run_sweep(spec: &SweepSpec, jobs: usize) -> SweepResults {
         .collect();
     let programs = pool::run_ordered(builders, jobs);
     let build = t0.elapsed();
+    let bases: Vec<OnceLock<Cycle>> = ideal_keys.iter().map(|_| OnceLock::new()).collect();
     let tasks: Vec<_> = grid
         .into_iter()
-        .zip(prog_idx)
-        .map(|(job, idx)| {
-            let program = Arc::clone(&programs[idx]);
+        .zip(indices)
+        .map(|(job, (prog, base))| {
+            let program = Arc::clone(&programs[prog]);
+            let base = &bases[base];
             move || {
                 #[expect(
                     clippy::disallowed_methods,
                     reason = "per-cell wall clock lands in SweepCell::wall, excluded from deterministic CSVs"
                 )]
                 let cell_t0 = Instant::now();
-                let outcome = job.run_with_program(&program);
+                let base_cycles =
+                    *base.get_or_init(|| ideal_base_cycles(&program, job.system, &job.mem_cfg));
+                let outcome = run_timed(
+                    &program,
+                    &job.mem_cfg,
+                    job.system,
+                    job.nsb_admit,
+                    base_cycles,
+                );
                 SweepCell {
                     job,
                     outcome,
@@ -537,8 +538,17 @@ pub fn run_sweep(spec: &SweepSpec, jobs: usize) -> SweepResults {
         cells,
         jobs,
         build,
+        ideal_runs: bases.iter().filter(|b| b.get().is_some()).count(),
         wall: t0.elapsed(),
     }
+}
+
+/// Position of `key` in `keys`, appending it first if absent.
+fn first_index<K: PartialEq>(keys: &mut Vec<K>, key: K) -> usize {
+    keys.iter().position(|k| *k == key).unwrap_or_else(|| {
+        keys.push(key);
+        keys.len() - 1
+    })
 }
 
 /// Fans arbitrary independent simulation closures out over the pool,

@@ -89,10 +89,27 @@ impl VoxelKey {
 /// ```
 #[derive(Debug, Clone)]
 pub struct VoxelHashTable {
-    /// `None` = empty bucket; `Some((key, slot))` = occupied.
-    buckets: Vec<Option<(VoxelKey, u32)>>,
+    buckets: Vec<Bucket>,
     mask: u64,
     len: usize,
+}
+
+/// One 16-byte bucket: a key and its slot, or empty when `slot` is
+/// [`EMPTY`].
+#[derive(Debug, Clone, Copy)]
+struct Bucket {
+    key: VoxelKey,
+    slot: u32,
+}
+
+/// The slot value marking an empty bucket; never stored.
+const EMPTY: u32 = u32::MAX;
+
+impl Bucket {
+    const VACANT: Bucket = Bucket {
+        key: VoxelKey::new(0, 0, 0),
+        slot: EMPTY,
+    };
 }
 
 impl VoxelHashTable {
@@ -102,7 +119,7 @@ impl VoxelHashTable {
     pub fn with_capacity(capacity: usize) -> Self {
         let n = capacity.next_power_of_two().max(8);
         VoxelHashTable {
-            buckets: vec![None; n],
+            buckets: vec![Bucket::VACANT; n],
             mask: (n - 1) as u64,
             len: 0,
         }
@@ -131,18 +148,45 @@ impl VoxelHashTable {
     /// # Panics
     ///
     /// Panics if the table would exceed a 0.9 load factor — the generators
-    /// size tables up front, so growth is deliberately unimplemented.
+    /// size tables up front, so growth is deliberately unimplemented — or
+    /// if `slot` is `u32::MAX`, which marks empty buckets.
     pub fn insert(&mut self, key: VoxelKey, slot: u32) -> Option<u32> {
-        assert!(
-            (self.len + 1) as f64 <= self.buckets.len() as f64 * 0.9,
-            "voxel table over 90% load; size it larger up front"
-        );
+        self.assert_room();
         let (bucket, prev) = self.probe(key);
-        self.buckets[bucket] = Some((key, slot));
+        self.place(bucket, key, slot);
         if prev.is_none() {
             self.len += 1;
         }
         prev
+    }
+
+    /// Inserts `key -> slot` unless `key` is present, with one probe;
+    /// returns whether it inserted. A present key keeps its slot.
+    ///
+    /// # Panics
+    ///
+    /// As [`VoxelHashTable::insert`], when the key is new.
+    pub fn insert_if_absent(&mut self, key: VoxelKey, slot: u32) -> bool {
+        let (bucket, prev) = self.probe(key);
+        if prev.is_some() {
+            return false;
+        }
+        self.assert_room();
+        self.place(bucket, key, slot);
+        self.len += 1;
+        true
+    }
+
+    fn assert_room(&self) {
+        assert!(
+            (self.len + 1) as f64 <= self.buckets.len() as f64 * 0.9,
+            "voxel table over 90% load; size it larger up front"
+        );
+    }
+
+    fn place(&mut self, bucket: usize, key: VoxelKey, slot: u32) {
+        assert_ne!(slot, EMPTY, "slot u32::MAX marks empty buckets");
+        self.buckets[bucket] = Bucket { key, slot };
     }
 
     /// Looks up the slot stored for `key`.
@@ -158,11 +202,14 @@ impl VoxelHashTable {
     pub fn probe(&self, key: VoxelKey) -> (usize, Option<u32>) {
         let mut i = key.hash() & self.mask;
         loop {
-            match &self.buckets[i as usize] {
-                Some((k, s)) if *k == key => return (i as usize, Some(*s)),
-                Some(_) => i = (i + 1) & self.mask,
-                None => return (i as usize, None),
+            let b = self.buckets[i as usize];
+            if b.slot == EMPTY {
+                return (i as usize, None);
             }
+            if b.key == key {
+                return (i as usize, Some(b.slot));
+            }
+            i = (i + 1) & self.mask;
         }
     }
 
@@ -177,11 +224,11 @@ impl VoxelHashTable {
         let mut i = key.hash() & self.mask;
         loop {
             path.push(i as usize);
-            match &self.buckets[i as usize] {
-                Some((k, _)) if *k == key => return path,
-                Some(_) => i = (i + 1) & self.mask,
-                None => return path,
+            let b = self.buckets[i as usize];
+            if b.slot == EMPTY || b.key == key {
+                return path;
             }
+            i = (i + 1) & self.mask;
         }
     }
 
@@ -208,8 +255,7 @@ impl VoxelHashTable {
                 rng.gen_range(u64::from(extent)) as i32,
                 rng.gen_range(u64::from(extent)) as i32,
             );
-            if table.lookup(key).is_none() {
-                table.insert(key, keys.len() as u32);
+            if table.insert_if_absent(key, keys.len() as u32) {
                 keys.push(key);
             }
         }
@@ -241,6 +287,27 @@ mod tests {
         assert_eq!(t.insert(k, 9), Some(5));
         assert_eq!(t.lookup(k), Some(9));
         assert_eq!(t.len(), 1);
+    }
+
+    #[test]
+    fn buckets_are_sixteen_bytes() {
+        assert_eq!(std::mem::size_of::<Bucket>(), 16);
+    }
+
+    #[test]
+    fn insert_if_absent_keeps_the_first_slot() {
+        let mut t = VoxelHashTable::with_capacity(8);
+        let k = VoxelKey::new(1, 2, 3);
+        assert!(t.insert_if_absent(k, 5));
+        assert!(!t.insert_if_absent(k, 9));
+        assert_eq!(t.lookup(k), Some(5));
+        assert_eq!(t.len(), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "marks empty buckets")]
+    fn empty_marker_slot_panics() {
+        VoxelHashTable::with_capacity(8).insert(VoxelKey::new(0, 0, 0), u32::MAX);
     }
 
     #[test]

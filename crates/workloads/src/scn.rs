@@ -49,8 +49,7 @@ fn clustered_cloud(rng: &mut Pcg32) -> (VoxelHashTable, Vec<VoxelKey>) {
             (cy + rng.gen_range(spread) as i64 - i64::from(RADIUS)) as i32,
             (cz + rng.gen_range(spread) as i64 - i64::from(RADIUS)) as i32,
         );
-        if table.lookup(key).is_none() {
-            table.insert(key, keys.len() as u32);
+        if table.insert_if_absent(key, keys.len() as u32) {
             keys.push(key);
         }
     }

@@ -154,6 +154,58 @@ fn parallel_sweep_matches_serial_bit_for_bit() {
     assert_eq!(serial.to_csv(), parallel.to_csv());
 }
 
+#[test]
+fn shared_ideal_runs_match_run_system() {
+    // The sweep runs each (program, engine mode, demand hit latency) ideal
+    // run once and shares it across cells; every cell's base cycles must
+    // still be exactly what `run_system` computes for it alone, at any
+    // worker count, with or without an NSB and over two DRAM channels.
+    let configs = [
+        MemoryConfig::default(),
+        MemoryConfig::default().with_nsb(nsb_config(8)),
+        MemoryConfig::default().with_dram(DramConfig::default().with_channels(2)),
+    ];
+    for mem_cfg in configs {
+        let spec = SweepSpec {
+            scales: vec![Scale::Tiny],
+            mem_cfg: mem_cfg.clone(),
+            ..SweepSpec::default()
+        };
+        // Per program: the in-order and the out-of-order engine at the
+        // configuration's latency, plus NVR+NSB's own NSB latency when the
+        // configuration has no NSB.
+        let per_program = if mem_cfg.nsb.is_some() { 2 } else { 3 };
+        let sweeps = [run_sweep(&spec, 1), run_sweep(&spec, 4)];
+        for results in &sweeps {
+            assert_eq!(results.cells.len(), 8 * 7);
+            assert_eq!(results.ideal_runs, 8 * per_program, "jobs {}", results.jobs);
+        }
+        let n_systems = SystemKind::ALL.len();
+        for (i, cells) in sweeps[0].cells.chunks(n_systems).enumerate() {
+            let job = &cells[0].job;
+            let program = job.workload.build(&WorkloadSpec {
+                width: job.width,
+                seed: job.seed,
+                scale: job.scale,
+                order: job.order,
+            });
+            for (j, c) in cells.iter().enumerate() {
+                assert_eq!(c.job.workload, job.workload);
+                let direct = run_system(&program, &mem_cfg, c.job.system).base_cycles;
+                for results in &sweeps {
+                    assert_eq!(
+                        results.cells[i * n_systems + j].outcome.base_cycles,
+                        direct,
+                        "{} with {} jobs",
+                        c.job.key(),
+                        results.jobs
+                    );
+                }
+            }
+        }
+    }
+}
+
 /// Pinned result fingerprints for every system on every workload.
 ///
 /// The simulator's hot paths are data-layout- and scheduling-optimised
